@@ -14,7 +14,7 @@ from math import isqrt
 
 from .cyclotomic import Cyclotomic, cyclo_sum, exact_div
 from .groups import ConjugacyClassSet, FiniteGroup, class_fusion_map, conjugacy_classes
-from .intlinalg import is_prime
+from .intlinalg import is_prime, primitive_root
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,6 @@ class ClassFunction:
 
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
         return ClassFunction(tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def scaled(self, n: int) -> "ClassFunction":
-        return ClassFunction(tuple(v * n for v in self.values))
 
 
 @dataclass
@@ -184,25 +181,6 @@ def _find_dixon_prime(exponent: int, group_order: int) -> int:
         f"no usable prime = 1 (mod {exponent}) below {_DIXON_PRIME_BOUND}")
 
 
-def _element_of_order(l: int, m: int) -> int:
-    """An element of exact order m in F_l*, via a primitive root."""
-    fact = []
-    n = l - 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            fact.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        fact.append(n)
-    for g in range(2, l):
-        if all(pow(g, (l - 1) // q, l) != 1 for q in fact):
-            return pow(g, (l - 1) // m, l)
-    raise AssertionError("no primitive root found")
-
-
 # -- the table computation ----------------------------------------------------
 
 
@@ -260,7 +238,7 @@ def _dixon_characters(G: FiniteGroup, classes: ConjugacyClassSet,
                       exponent: int) -> list[ClassFunction]:
     k = len(classes.classes)
     l = _find_dixon_prime(exponent, G.order)
-    omega = _element_of_order(l, exponent)
+    omega = pow(primitive_root(l), (l - 1) // exponent, l)  # exact order `exponent`
     sizes = [c.size for c in classes.classes]
 
     spaces: list[list[list[int]]] = [[[1 if i == j else 0 for j in range(k)]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
+import os
 import sys
 
 from .chartable import dixon_character_table
@@ -20,9 +20,17 @@ from .verify import run_group_corpus, verify_conjecture, verify_group_case
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_ERROR = 2
+# any other verdict ("error") exits EXIT_ERROR
+VERDICT_EXIT = {"verified": EXIT_OK, "counterexample": EXIT_COUNTEREXAMPLE}
 
 PAPER_ITEMS = ["table1", "table2", "table3", "table4", "table5", "table6",
                "lemma42", "lemma56", "lemma58", "example27"]
+
+
+def _report_exit(report, fmt: str) -> int:
+    """Print a verification report and return the exit code of its verdict."""
+    _print_report(report, fmt)
+    return VERDICT_EXIT.get(report.verdict, EXIT_ERROR)
 
 
 def _print_report(report, fmt: str) -> None:
@@ -41,11 +49,7 @@ def _print_report(report, fmt: str) -> None:
 
 def _cmd_verify_group(args) -> int:
     group = load_group(args.group)
-    report = verify_group_case(group, args.p, label=args.group)
-    _print_report(report, args.format)
-    if report.verdict == "verified":
-        return EXIT_OK
-    return EXIT_COUNTEREXAMPLE if report.verdict == "counterexample" else EXIT_ERROR
+    return _report_exit(verify_group_case(group, args.p, label=args.group), args.format)
 
 
 def _cmd_verify_fusion(args) -> int:
@@ -58,10 +62,7 @@ def _cmd_verify_fusion(args) -> int:
     else:
         table = dixon_character_table(fusion.S)
         report = verify_conjecture(fusion, table, label=args.fusion)
-    _print_report(report, args.format)
-    if report.verdict == "verified":
-        return EXIT_OK
-    return EXIT_COUNTEREXAMPLE if report.verdict == "counterexample" else EXIT_ERROR
+    return _report_exit(report, args.format)
 
 
 def _cmd_char_table(args) -> int:
@@ -92,9 +93,7 @@ def _paper_exotic(name: str, p: int, fmt: str, large: bool = False) -> int:
     from .verify import check_induction_certificate, verify_table_fusion
 
     if name == "F_3492":
-        report = verify_table_fusion(table_3492())
-        _print_report(report, fmt)
-        return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
+        return _report_exit(verify_table_fusion(table_3492()), fmt)
     if name.startswith("F547_chain"):
         family = name.split(":", 1)[1] if ":" in name else "psu"
         certs = chain_certificates(family, 5)
@@ -111,9 +110,7 @@ def _paper_exotic(name: str, p: int, fmt: str, large: bool = False) -> int:
     if p >= 7 and not large:
         raise SpecError("p >= 7 overgroup constructions are gated behind --large")
     merged, ctx = build_exotic_fusion(name, p)
-    report = verify_conjecture(merged, ctx.irr_s, f"{name}@p={p}")
-    _print_report(report, fmt)
-    return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
+    return _report_exit(verify_conjecture(merged, ctx.irr_s, f"{name}@p={p}"), fmt)
 
 
 def _cmd_paper(args) -> int:
@@ -158,9 +155,16 @@ def _cmd_corpus(args) -> int:
             print(f"{rep.label}: {rep.verdict}")
 
     if args.dir:
-        summary = _directory_corpus(args.dir, progress)
+        try:
+            files = sorted(f for f in os.listdir(args.dir) if f.endswith(".json"))
+        except OSError as exc:
+            raise SpecError(f"{args.dir}: cannot list: {exc.strerror or exc}") from exc
+        # every file is verified at each prime divisor of its group order
+        summary = run_group_corpus(
+            [(f, 0) for f in files], progress=progress,
+            load=lambda f: load_group(os.path.join(args.dir, f)))
     else:
-        summary = run_group_corpus(None, progress=progress)
+        summary = run_group_corpus(progress=progress)
     if args.format == "json":
         print(json.dumps({
             "total": summary["total"],
@@ -174,58 +178,12 @@ def _cmd_corpus(args) -> int:
     return EXIT_OK if not summary["failures"] else EXIT_COUNTEREXAMPLE
 
 
-def _directory_corpus(path: str, progress) -> dict:
-    """Verify every group spec file in a directory at each prime divisor."""
-    import os
-
-    from .verify import VerificationReport
-
-    reports = []
-    failures = []
-    for fname in sorted(os.listdir(path)):
-        if not fname.endswith(".json"):
-            continue
-        full = os.path.join(path, fname)
-        try:
-            group = load_group(full)
-            n = group.order
-            primes = []
-            d = 2
-            while d * d <= n:
-                if n % d == 0:
-                    primes.append(d)
-                    while n % d == 0:
-                        n //= d
-                d += 1
-            if n > 1:
-                primes.append(n)
-            for p in primes:
-                rep = verify_group_case(group, p, f"{fname}@p={p}")
-                reports.append(rep)
-                if rep.verdict != "verified":
-                    failures.append(rep)
-                if progress:
-                    progress(rep)
-        except (SpecError, ValueError) as exc:
-            rep = VerificationReport(fname, 0, 0, [], 0, 0, 0, "error", False,
-                                     {"error": str(exc)})
-            reports.append(rep)
-            failures.append(rep)
-            if progress:
-                progress(rep)
-    return {"total": len(reports),
-            "verified": sum(1 for r in reports if r.verdict == "verified"),
-            "failures": failures, "reports": reports}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fuschar",
         description="Exact verification of the character-table determinant "
                     "identity for fusion systems on finite p-groups.")
     parser.add_argument("--format", choices=["text", "json"], default="text")
-    parser.add_argument("--seed", type=int, default=20240801,
-                        help="seed for randomized cross-checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     vg = sub.add_parser("verify-group", help="verify the fusion of a group file")
@@ -253,8 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     pp.set_defaults(func=_cmd_paper)
 
     cp = sub.add_parser("corpus", help="run whole-group verifications")
-    cp.add_argument("--builtin", action="store_true", default=True)
-    cp.add_argument("--dir", default=None)
+    cp.add_argument("--dir", default=None,
+                    help="verify every group spec (*.json) in this directory "
+                         "instead of the builtin corpus")
     cp.set_defaults(func=_cmd_corpus)
     return parser
 
@@ -265,7 +224,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else EXIT_OK
-    random.seed(args.seed)
     try:
         return args.func(args)
     except SpecError as exc:

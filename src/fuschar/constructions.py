@@ -10,19 +10,7 @@ from functools import lru_cache
 
 from .cyclotomic import Cyclotomic
 from .groups import FiniteGroup, FpMat, conjugacy_classes, enumerate_group
-from .intlinalg import is_prime
-
-
-def smallest_primitive_root(p: int) -> int:
-    for g in range(2, p):
-        seen = set()
-        x = 1
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return g
-    raise ValueError(f"no primitive root modulo {p}")
+from .intlinalg import is_prime, primitive_root
 
 
 def is_square_mod(a: int, p: int) -> bool:
@@ -49,7 +37,7 @@ class ConstructionParams:
     def for_prime(cls, p: int) -> "ConstructionParams":
         if p == 2 or not is_prime(p):
             raise ValueError(f"construction needs an odd prime, got {p}")
-        root = smallest_primitive_root(p)
+        root = primitive_root(p)
         return cls(p, smallest_nonresidue_epsilon(p), root, root)
 
 
@@ -188,7 +176,8 @@ def sylow_inside(p: int, which: str) -> FiniteGroup:
     v_gens = [translation(p, (1, 0, 0)), translation(p, (0, 1, 0)),
               translation(p, (0, 0, 1))]
     s = enumerate_group(v_gens + [u_aff], designated=dict(n.designated))
-    assert s.is_subgroup_of(n)
+    if not s.is_subgroup_of(n):
+        raise AssertionError(f"S is not a subgroup of {which} at p = {p}")
     return s
 
 
@@ -203,6 +192,22 @@ class OrbitInfo:
     stabilizer_abelian: bool
 
 
+def _orbit(gam: FiniteGroup, v: tuple[int, int, int]) -> set:
+    """The orbit of v under the matrix group, by breadth-first search."""
+    orbit = {v}
+    frontier = [v]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gam.generators:
+                img = mat_vec(g, w)
+                if img not in orbit:
+                    orbit.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return orbit
+
+
 def gamma_orbit_analysis(p: int, variant: str) -> list[OrbitInfo]:
     """Nontrivial orbits of the chosen Gamma-group on V, with stabilizer
     orders and abelianness computed by direct counting."""
@@ -214,20 +219,11 @@ def gamma_orbit_analysis(p: int, variant: str) -> list[OrbitInfo]:
     for v in vectors:
         if v in seen:
             continue
-        orbit = {v}
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g in gam.generators:
-                    img = mat_vec(g, w)
-                    if img not in orbit:
-                        orbit.add(img)
-                        nxt.append(img)
-            frontier = nxt
+        orbit = _orbit(gam, v)
         seen.update(orbit)
         stab = [g for g in gam.elements if mat_vec(g, v) == v]
-        assert len(stab) * len(orbit) == gam.order
+        if len(stab) * len(orbit) != gam.order:
+            raise AssertionError("orbit-stabilizer count failed")
         abelian = all(x * y == y * x for x in stab for y in stab)
         orbits.append(OrbitInfo(v, len(orbit), len(stab), abelian))
     orbits.sort(key=lambda o: (o.size, o.rep))
@@ -237,18 +233,7 @@ def gamma_orbit_analysis(p: int, variant: str) -> list[OrbitInfo]:
 def orbit_containing(orbits: list[OrbitInfo], gam: FiniteGroup,
                      target: tuple[int, int, int]) -> OrbitInfo:
     for info in orbits:
-        orbit = {info.rep}
-        frontier = [info.rep]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g in gam.generators:
-                    img = mat_vec(g, w)
-                    if img not in orbit:
-                        orbit.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        if target in orbit:
+        if target in _orbit(gam, info.rep):
             return info
     raise ValueError(f"{target} lies in no computed orbit")
 

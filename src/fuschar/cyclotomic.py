@@ -12,6 +12,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, lcm
 
+from .intlinalg import prime_divisors, solve_left
+
 
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     out = [0] * (len(a) + len(b) - 1)
@@ -58,7 +60,8 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
         if c:
             for j, dj in enumerate(den):
                 rem[i + j] -= c * dj
-    assert not any(rem), "cyclotomic polynomial division must be exact"
+    if any(rem):
+        raise AssertionError("cyclotomic polynomial division must be exact")
     return tuple(quot)
 
 
@@ -229,7 +232,7 @@ class Cyclotomic:
         while changed:
             changed = False
             e = val.order
-            for q in _prime_divisors(e):
+            for q in prime_divisors(e):
                 d = e // q
                 low = val._descend(d)
                 if low is not None:
@@ -311,29 +314,12 @@ def _monomial(e: int, k: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _prime_divisors(n: int) -> tuple[int, ...]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _descent_solver(e: int, d: int):
     """A function mapping canonical order-e coefficients to order-d ones.
 
     Solves c * B = v where row i of B is the canonical order-e vector of
     zeta_d^i.  Returns None when no integer solution exists.
     """
-    from .intlinalg import solve_left  # deferred: intlinalg imports nothing back
-
     basis = [Cyclotomic.root_of_unity(d, i).embedded(e).coeffs for i in range(d)]
 
     def solve(vec: tuple[int, ...]):

@@ -42,9 +42,6 @@ class OvergroupContext:
     def z_element(self):
         return self.S.designated["z"]
 
-    def value_at_class(self, row: RestrictionRow, class_idx: int) -> Cyclotomic:
-        return row.values[class_idx]
-
     def class_of(self, element) -> int:
         return self.base.class_of_element(element)
 
@@ -217,11 +214,6 @@ def _auto_b_f(ctx_irr_s, b_n_rows: list[list[int]], eta_idx: int,
             raise ArithmeticError("basis value difference not divisible by +-p")
         out.append([a + m * b for a, b in zip(row, b_n_rows[eta_idx])])
     return out
-
-
-def _anchors(S: FiniteGroup, fusion_rep_elements: tuple) -> tuple[int, int]:
-    sc = conjugacy_classes(S)
-    return tuple(sc.class_index_of(S, x) for x in fusion_rep_elements)
 
 
 def auto_step_certificate(ctx: OvergroupContext, base_fusion: FusionData,

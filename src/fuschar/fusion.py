@@ -70,9 +70,10 @@ def _finalise(S: FiniteGroup, p: int, groups: list[list[int]], provenance: str,
     for ci, fc in enumerate(classes):
         for si in fc.s_class_indices:
             fd._class_of_s_class[si] = ci
-    # identity must be a singleton class and the partition must cover S
-    assert fd.classes[0].size == 1 and fd.classes[0].rep_order == 1
-    assert sum(c.size for c in fd.classes) == S.order
+    if not (fd.classes[0].size == 1 and fd.classes[0].rep_order == 1):
+        raise AssertionError("the identity must form a singleton fusion class")
+    if sum(c.size for c in fd.classes) != S.order:
+        raise AssertionError("fusion classes must partition S")
     return fd
 
 
@@ -185,6 +186,16 @@ class TableFusion:
             raise ValueError("basis value matrix must be square over the classes")
         if sum(self.class_sizes) != self.group_order:
             raise ValueError("class sizes must sum to the group order")
+        seen: set[int] = set()
+        for grp in self.merge_groups:
+            if not grp:
+                raise ValueError("merge groups must be nonempty")
+            for j in grp:
+                if not 0 <= j < k:
+                    raise ValueError(f"merge group index {j} is out of range 0..{k - 1}")
+                if j in seen:
+                    raise ValueError(f"class {j} appears in more than one merge group")
+                seen.add(j)
 
     def merged_partition(self) -> list[list[int]]:
         merged = set()

@@ -196,9 +196,6 @@ class FiniteGroup:
     def exponent(self) -> int:
         return lcm(*(c.rep_order for c in conjugacy_classes(self).classes))
 
-    def is_abelian(self) -> bool:
-        return all(a * b == b * a for a in self.generators for b in self.generators)
-
     def is_subgroup_of(self, other: "FiniteGroup") -> bool:
         return all(x in other.index for x in self.elements)
 
@@ -302,7 +299,9 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassSet:
         cent = G.order // size
         if size <= CENTRALIZER_CHECK_LIMIT:
             direct = sum(1 for x in G.elements if x * rep == rep * x)
-            assert direct == cent, "orbit-stabilizer centralizer order failed direct count"
+            if direct != cent:
+                raise AssertionError(
+                    "orbit-stabilizer centralizer order failed direct count")
         infos.append(ConjClass(rep, size, cent, G.element_order(rep),
                                frozenset(members)))
     order = sorted(range(len(infos)),

@@ -8,6 +8,7 @@ Cyclotomic entries where noted).  Everything is exact; no modular shortcuts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 
 
@@ -147,10 +148,6 @@ def solve_left(basis: list[list[int]], target: list[int]) -> list[int] | None:
     return [sum(y[i] * u[i][j] for i in range(len(y))) for j in range(len(basis))]
 
 
-def row_space_contains(basis: list[list[int]], vec: list[int]) -> bool:
-    return solve_left(basis, vec) is not None
-
-
 def smith_invariants(matrix: list[list[int]]) -> list[int]:
     """Nonzero elementary divisors d1 | d2 | ... of an integer matrix."""
     a = [list(r) for r in matrix]
@@ -279,16 +276,6 @@ def det_exact(matrix: list[list]):
     return result
 
 
-def det_gram_int(matrix: list[list]) -> int:
-    """Determinant of a matrix known to be a rational integer (asserted)."""
-    from .cyclotomic import Cyclotomic
-
-    d = det_exact(matrix)
-    if isinstance(d, Cyclotomic):
-        return d.rational_value()
-    return d
-
-
 def p_valuation(n: int, p: int) -> int:
     """Largest k with p**k | n; rejects n = 0."""
     if n == 0:
@@ -314,6 +301,30 @@ def is_prime(n: int) -> bool:
         if n % d == 0:
             return False
     return True
+
+
+@lru_cache(maxsize=None)
+def prime_divisors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n, in increasing order."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
+def primitive_root(p: int) -> int:
+    """The smallest generator of the multiplicative group of F_p, p prime."""
+    for g in range(2, p):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in prime_divisors(p - 1)):
+            return g
+    raise ValueError(f"no primitive root modulo {p}")
 
 
 def change_of_basis(ambient: list[list[int]], sub: list[list[int]]) -> list[list[int]]:
@@ -343,7 +354,8 @@ def lattice_index(ambient: list[list[int]], sub: list[list[int]]) -> int:
     prod = 1
     for e in divisors:
         prod *= e
-    assert prod == abs(d), "Smith divisors disagree with determinant"
+    if prod != abs(d):
+        raise AssertionError("Smith divisors disagree with determinant")
     return prod
 
 
@@ -362,5 +374,6 @@ def lattice_volume_index(l_basis: list[list[int]], m_basis: list[list[int]]) -> 
     if vol_l == 0 or vol_m == 0:
         raise ValueError("bases must be full rank")
     index = lattice_index(l_basis, m_basis)
-    assert index * vol_l == vol_m, "index must equal vol(M)/vol(L)"
+    if index * vol_l != vol_m:
+        raise AssertionError("index must equal vol(M)/vol(L)")
     return vol_l, vol_m, index

@@ -163,10 +163,11 @@ def reproduce_table2(p: int) -> MatchReport:
             report.check(f"{r['name']}_realized", r["name"] in realized)
     report.check("k_base_is_6", ctx.base.k == 6, f"k = {ctx.base.k}")
     # the six basis rows must span the stable lattice of the base fusion
-    basis_rows = [_table2_pick(ctx, cols, r) for r in expected if r["basis"]]
+    basis = _table2_basis(ctx, cols, p)
     lattice = stable_character_basis(ctx.irr_s, ctx.base)
-    idx = lattice_index(lattice.basis, [list(r.coords) for r in basis_rows])
+    idx = lattice_index(lattice.basis, [list(r.coords) for r in basis.values()])
     report.check("basis_spans_stable_lattice", idx == 1, f"index {idx}")
+    _check_regular_decomposition(report, ctx, basis, p)
     report.notes["columns"] = ["1", "v1", "v2", "v1+e*v3", "u", "u'"]
     report.notes.update(_off_v_class_notes(ctx))
     return report
@@ -194,6 +195,13 @@ def _table2_pick(ctx, cols, row_spec):
                        at={c: v for c, v in zip(cols, row_spec["vals"])})
 
 
+def _table2_basis(ctx: OvergroupContext, cols: list[int], p: int) -> dict:
+    """The six basis restrictions of Table 2, by row name."""
+    params = ConstructionParams.for_prime(p)
+    return {r["name"]: _table2_pick(ctx, cols, r)
+            for r in table2_rows(p, params.epsilon) if r["basis"]}
+
+
 def table4_rows(p: int) -> list[dict]:
     """The merged-system basis: multiplicities over the table2 basis rows and
     the claimed (degree, common value at v1 and u)."""
@@ -214,10 +222,7 @@ def table4_rows(p: int) -> list[dict]:
 def reproduce_table4(p: int) -> MatchReport:
     report = MatchReport(f"table4@p={p}")
     ctx = overgroup_context(p, "N_gamma")
-    params = ConstructionParams.for_prime(p)
-    cols = _gamma_column_classes(ctx)
-    basis = {r["name"]: _table2_pick(ctx, cols, r)
-             for r in table2_rows(p, params.epsilon) if r["basis"]}
+    basis = _table2_basis(ctx, _gamma_column_classes(ctx), p)
     merged = apply_merges(ctx.base, [(ctx.z_element(), ctx.S.designated["u"])])
     rows = []
     for spec in table4_rows(p):
@@ -246,15 +251,10 @@ def _s_class(ctx, element) -> int:
     return sc.class_index_of(ctx.S, element)
 
 
-def regular_decomposition_check(p: int) -> MatchReport:
+def _check_regular_decomposition(report: MatchReport, ctx: OvergroupContext,
+                                 basis: dict, p: int) -> None:
     """reg_S = 1 + theta + chi(psi100) + chi(psi100,rho) + p*chi(psi10e)
     + p*chi(psi010), checked exactly."""
-    report = MatchReport(f"regular-decomposition@p={p}")
-    ctx = overgroup_context(p, "N_gamma")
-    params = ConstructionParams.for_prime(p)
-    cols = _gamma_column_classes(ctx)
-    basis = {r["name"]: _table2_pick(ctx, cols, r)
-             for r in table2_rows(p, params.epsilon) if r["basis"]}
     mults = {"1_S": 1, "theta_{p-1}": 1, "chi(psi100)": 1, "chi(psi100,rho)": 1,
              "chi(psi10e)": p, "chi(psi010)": p}
     coords = [0] * len(basis["1_S"].coords)
@@ -264,7 +264,6 @@ def regular_decomposition_check(p: int) -> MatchReport:
     cf = ctx.irr_s.combination(coords)
     reg = regular_character(ctx.irr_s.classes, ctx.S.order)
     report.check("regular_character_identity", cf.values == reg.values)
-    return report
 
 
 # -- Table 5: the twisted overgroup at p = 5 -------------------------------------

@@ -120,26 +120,39 @@ def fusion_from_spec(spec: dict):
 
 
 def load_group(path: str) -> FiniteGroup:
-    return group_from_spec(_load_json(path))
+    return _load(path, group_from_spec)
 
 
 def load_fusion(path: str):
-    return fusion_from_spec(_load_json(path))
+    return _load(path, fusion_from_spec)
 
 
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def _load(path: str, parse):
+    """Read and parse one spec file; every input fault becomes a SpecError."""
     try:
-        return json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise SpecError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    try:
+        spec = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path}: malformed JSON at byte {exc.pos}: {exc.msg}") from exc
+    if not isinstance(spec, dict):
+        raise SpecError(f"{path}: a spec must be a JSON object")
+    try:
+        return parse(spec)
+    except KeyError as exc:
+        raise SpecError(f"{path}: missing field {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise SpecError(f"{path}: ill-typed field: {exc}") from exc
 
 
 def table_to_json(table) -> dict:
     from .chartable import CharacterTable
 
-    assert isinstance(table, CharacterTable)
+    if not isinstance(table, CharacterTable):
+        raise AssertionError("table_to_json needs a CharacterTable")
     return {
         "conductor": table.conductor,
         "classes": [

@@ -12,7 +12,15 @@ from itertools import product
 from .chartable import CharacterTable, ClassFunction, inner_product
 from .fusion import FusionData
 from .groups import FiniteGroup
-from .intlinalg import det_exact, hnf, kernel_rows, mat_mul, solve_left, transpose
+from .intlinalg import (
+    det_exact,
+    hnf,
+    identity_matrix,
+    kernel_rows,
+    mat_mul,
+    solve_left,
+    transpose,
+)
 
 
 @dataclass
@@ -22,46 +30,48 @@ class StableLattice:
     basis: list[list[int]]  # rows = basis virtual characters in Irr(S) coordinates
     rank: int
 
-    def class_function(self, row: list[int]) -> ClassFunction:
-        return self.irr_s.combination(row)
 
-    def basis_class_functions(self) -> list[ClassFunction]:
-        return [self.class_function(row) for row in self.basis]
+def stable_kernel_basis(value_rows, class_groups, conductor: int) -> list[list[int]]:
+    """HNF basis of the integer combinations of `value_rows` (class functions
+    given by their values, all in Z[zeta_conductor]) that are constant on
+    every group of columns.
 
-    def contains(self, irr_coords: list[int]) -> bool:
-        return solve_left(self.basis, list(irr_coords)) is not None
+    The first column of each group is its anchor: one integer constraint per
+    other column of the group, per cyclotomic coordinate, on the difference
+    from the anchor.  The lattice is the integral kernel; its rank must equal
+    the number of groups.
+    """
+    constraints: list[list[int]] = []
+    for grp in class_groups:
+        anchor = grp[0]
+        for other in grp[1:]:
+            deltas = [row[other].embedded(conductor) - row[anchor].embedded(conductor)
+                      for row in value_rows]
+            for coeff_idx in range(conductor):
+                con = [d.coeffs[coeff_idx] for d in deltas]
+                if any(con):
+                    constraints.append(con)
+    if constraints:
+        basis = kernel_rows(transpose(constraints))
+    else:
+        basis = identity_matrix(len(value_rows))
+    if len(basis) != len(class_groups):
+        raise AssertionError(
+            f"stable lattice rank {len(basis)} != class count {len(class_groups)}")
+    return basis
 
 
 def stable_character_basis(irr_s: CharacterTable, fusion: FusionData) -> StableLattice:
     """HNF basis of the virtual characters constant on every fusion class.
 
-    One integer constraint per fusion class, per extra S-class it contains,
-    per cyclotomic coordinate; the lattice is the integral kernel.  The rank
-    always equals the number of fusion classes.
+    The rank always equals the number of fusion classes.
     """
     if irr_s.group is not fusion.S and irr_s.group.elements != fusion.S.elements:
         raise ValueError("character table and fusion data disagree on S")
-    e = irr_s.conductor
-    k_s = irr_s.k
-    constraints: list[list[int]] = []
-    for fc in fusion.classes:
-        anchor = fc.s_class_indices[0]
-        for other in fc.s_class_indices[1:]:
-            deltas = [chi.values[other].embedded(e) - chi.values[anchor].embedded(e)
-                      for chi in irr_s.chars]
-            for coeff_idx in range(e):
-                row = [d.coeffs[coeff_idx] for d in deltas]
-                if any(row):
-                    constraints.append(row)
-    if constraints:
-        basis = kernel_rows(transpose(constraints))
-    else:
-        basis = [[1 if i == j else 0 for j in range(k_s)] for i in range(k_s)]
-    lattice = StableLattice(fusion, irr_s, basis, len(basis))
-    if lattice.rank != fusion.k:
-        raise AssertionError(
-            f"stable lattice rank {lattice.rank} != class count {fusion.k}")
-    return lattice
+    basis = stable_kernel_basis([chi.values for chi in irr_s.chars],
+                                [fc.s_class_indices for fc in fusion.classes],
+                                irr_s.conductor)
+    return StableLattice(fusion, irr_s, basis, len(basis))
 
 
 def irr_coordinates(chi: ClassFunction, irr_s: CharacterTable) -> list[int]:

@@ -7,22 +7,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 
 from .chartable import CharacterTable, dixon_character_table
 from .cyclotomic import Cyclotomic
 from .fusion import FusionData, TableFusion, centralizer_product, fusion_from_group
 from .groups import FiniteGroup, conjugacy_classes, standard_group, sylow_subgroup
-from .intlinalg import (
-    det_exact,
-    hnf,
-    kernel_rows,
-    lattice_index,
-    p_part,
-    solve_left,
-    transpose,
+from .intlinalg import det_exact, hnf, lattice_index, p_part, prime_divisors, solve_left
+from .stable import (
+    StableLattice,
+    decomposition_matrix,
+    stable_character_basis,
+    stable_kernel_basis,
 )
-from .stable import StableLattice, decomposition_matrix, stable_character_basis
 
 
 @dataclass
@@ -59,15 +56,32 @@ class VerificationReport:
         }
 
 
+def _x_matrix(coeff_rows, value_rows, cols) -> list[list[Cyclotomic]]:
+    """X[i][j] = sum_c coeff_rows[i][c] * value_rows[c][cols[j]], evaluated
+    only at the listed columns."""
+    out = []
+    for coeffs in coeff_rows:
+        row = []
+        for j in cols:
+            acc = Cyclotomic.zero()
+            for a, values in zip(coeffs, value_rows):
+                if a:
+                    acc = acc + values[j] * a
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _rep_columns(fusion: FusionData) -> list[int]:
+    """S-class index of each fusion class's fully centralised representative."""
+    sc = conjugacy_classes(fusion.S)
+    return [sc.class_index_of(fusion.S, fc.rep) for fc in fusion.classes]
+
+
 def character_table_matrix(lattice: StableLattice, fusion: FusionData) -> list[list[Cyclotomic]]:
     """X[i][j] = value of basis row i at the j-th fully centralised rep."""
-    sc = conjugacy_classes(fusion.S)
-    rep_cols = [sc.class_index_of(fusion.S, fc.rep) for fc in fusion.classes]
-    rows = []
-    for coeffs in lattice.basis:
-        cf = lattice.class_function(coeffs)
-        rows.append([cf.values[j] for j in rep_cols])
-    return rows
+    return _x_matrix(lattice.basis, [chi.values for chi in lattice.irr_s.chars],
+                     _rep_columns(fusion))
 
 
 def gram_matrix(x: list[list[Cyclotomic]]) -> list[list[Cyclotomic]]:
@@ -111,34 +125,41 @@ def gram_determinant(x: list[list[Cyclotomic]]) -> tuple[int, bool]:
 def verify_conjecture(fusion: FusionData, irr_s: CharacterTable,
                       label: str = "") -> VerificationReport:
     """Both sides of the determinant identity for one fusion partition."""
+    return _verify(fusion, irr_s, label)[0]
+
+
+def _verify(fusion: FusionData, irr_s: CharacterTable, label: str):
+    """(report, stable lattice, X); lattice and X are None on an error verdict."""
     t0 = time.perf_counter()
     p = fusion.p
     rhs = centralizer_product(fusion)
     if rhs != p_part(rhs, p):
         raise AssertionError("centralizer product must be a power of p")
     reps = [(repr(fc.rep), fc.rep_order, fc.centralizer_order) for fc in fusion.classes]
+
+    def error(message: str):
+        return VerificationReport(label, p, fusion.k, reps, 0, 0, rhs, "error",
+                                  fusion.saturation_certified, {"error": message},
+                                  time.perf_counter() - t0), None, None
+
     try:
         lattice = stable_character_basis(irr_s, fusion)
         x = character_table_matrix(lattice, fusion)
         det, diagonal = gram_determinant(x)
     except (AssertionError, ArithmeticError, ValueError) as exc:
-        return VerificationReport(label, p, fusion.k, reps, 0, 0, rhs, "error",
-                                  fusion.saturation_certified,
-                                  {"error": str(exc)}, time.perf_counter() - t0)
+        return error(str(exc))
     if det == 0:
-        return VerificationReport(label, p, fusion.k, reps, 0, 0, rhs, "error",
-                                  fusion.saturation_certified,
-                                  {"error": "singular character table matrix"},
-                                  time.perf_counter() - t0)
+        return error("singular character table matrix")
     lhs_p = p_part(det, p)
     verdict = "verified" if lhs_p == rhs else "counterexample"
     checks = {"gram_diagonal": diagonal}
     if not fusion.saturation_certified and verdict == "counterexample":
         checks["note"] = ("identity fails on an input not certified saturated; "
                           "this is not a counterexample to the saturated conjecture")
-    return VerificationReport(label, p, fusion.k, reps, det, lhs_p, rhs, verdict,
-                              fusion.saturation_certified, checks,
-                              time.perf_counter() - t0)
+    report = VerificationReport(label, p, fusion.k, reps, det, lhs_p, rhs, verdict,
+                                fusion.saturation_certified, checks,
+                                time.perf_counter() - t0)
+    return report, lattice, x
 
 
 def verify_group_case(G: FiniteGroup, p: int, label: str = "") -> VerificationReport:
@@ -152,22 +173,21 @@ def verify_group_case(G: FiniteGroup, p: int, label: str = "") -> VerificationRe
                                   time.perf_counter() - t0)
     fusion = fusion_from_group(G, S, p)
     irr_s = dixon_character_table(S)
-    report = verify_conjecture(fusion, irr_s, label)
+    report, lattice, x = _verify(fusion, irr_s, label)
     if report.verdict == "error":
         return report
-    lattice = stable_character_basis(irr_s, fusion)
     irr_g = dixon_character_table(G)
     dec = decomposition_matrix(irr_g, S, lattice)
     det_c = dec.det_c
     report.checks["det_C"] = str(det_c)
     report.checks["gcd_det_C_p"] = gcd(abs(det_c), p)
-    gc = conjugacy_classes(G)
+    gc = irr_g.classes
+    g_cols = [gc.class_index_of(G, fc.rep) for fc in fusion.classes]
     prod_cg = 1
-    for fc in fusion.classes:
-        prod_cg *= gc.classes[gc.class_index_of(G, fc.rep)].centralizer_order
+    for j in g_cols:
+        prod_cg *= gc.classes[j].centralizer_order
     report.checks["eq_3_2"] = (report.lhs_det * det_c == prod_cg)
-    report.checks["restriction_identity"] = _check_dx_identity(
-        dec, lattice, fusion, irr_g)
+    report.checks["restriction_identity"] = _check_dx_identity(dec, x, irr_g, g_cols)
     if report.checks["gcd_det_C_p"] != 1 or not report.checks["eq_3_2"] \
             or not report.checks["restriction_identity"]:
         report.verdict = "error"
@@ -175,25 +195,15 @@ def verify_group_case(G: FiniteGroup, p: int, label: str = "") -> VerificationRe
     return report
 
 
-def _check_dx_identity(dec, lattice: StableLattice, fusion: FusionData,
-                       irr_g: CharacterTable) -> bool:
-    """(D X)[chi][s] must equal chi(s) for every restricted irreducible."""
-    x = character_table_matrix(lattice, fusion)
-    sc = conjugacy_classes(fusion.S)
-    gc = irr_g.classes
-    g_of_s_rep = []
-    for fc in fusion.classes:
-        g_of_s_rep.append(gc.class_index_of(irr_g.group, fc.rep))
-    rows = [i for i in range(len(irr_g.chars)) if i not in dec.outside_rows]
-    for d_row, i in zip(dec.d_matrix, rows):
-        chi = irr_g.chars[i]
-        for col, gcls in enumerate(g_of_s_rep):
-            acc = Cyclotomic.zero()
-            for coeff, xval in zip(d_row, [x[r][col] for r in range(len(x))]):
-                acc = acc + xval * coeff
-            if acc != chi.values[gcls]:
-                return False
-    return True
+def _check_dx_identity(dec, x: list[list[Cyclotomic]], irr_g: CharacterTable,
+                       g_cols: list[int]) -> bool:
+    """(D X)[chi][s] must equal chi(s) for every restricted irreducible; g_cols
+    are the G-classes of the fusion representatives."""
+    restricted = [chi for i, chi in enumerate(irr_g.chars) if i not in dec.outside_rows]
+    dx = _x_matrix(dec.d_matrix, x, range(len(g_cols)))
+    return all(dx_row[col] == chi.values[gcls]
+               for dx_row, chi in zip(dx, restricted)
+               for col, gcls in enumerate(g_cols))
 
 
 # -- table mode ---------------------------------------------------------------
@@ -202,40 +212,14 @@ def _check_dx_identity(dec, lattice: StableLattice, fusion: FusionData,
 def verify_table_fusion(tf: TableFusion, label: str = "") -> VerificationReport:
     """Verify the identity from explicit basis values and class data."""
     t0 = time.perf_counter()
-    groups = tf.merged_partition()
-    k_n = len(tf.labels)
-    e = 1
-    for row in tf.basis_values:
-        for v in row:
-            e = e * v.order // gcd(e, v.order)
-    constraints = []
-    for grp in groups:
+    groups = []
+    for grp in tf.merged_partition():
         anchor = max(grp, key=lambda j: (tf.centralizer_orders[j], -j))
-        for other in grp:
-            if other == anchor:
-                continue
-            deltas = [row[other].embedded(e) - row[anchor].embedded(e)
-                      for row in tf.basis_values]
-            for idx in range(e):
-                con = [d.coeffs[idx] for d in deltas]
-                if any(con):
-                    constraints.append(con)
-    if constraints:
-        basis = kernel_rows(transpose(constraints))
-    else:
-        basis = [[1 if i == j else 0 for j in range(k_n)] for i in range(k_n)]
-    if len(basis) != len(groups):
-        raise AssertionError("table-mode stable rank must equal the merged class count")
-    anchors = [max(grp, key=lambda j: (tf.centralizer_orders[j], -j)) for grp in groups]
-    x = []
-    for coeffs in basis:
-        row = []
-        for a in anchors:
-            acc = Cyclotomic.zero()
-            for c, brow in zip(coeffs, tf.basis_values):
-                acc = acc + brow[a] * c
-            row.append(acc)
-        x.append(row)
+        groups.append([anchor] + [j for j in grp if j != anchor])
+    e = lcm(*(v.order for row in tf.basis_values for v in row))
+    basis = stable_kernel_basis(tf.basis_values, groups, e)
+    anchors = [grp[0] for grp in groups]
+    x = _x_matrix(basis, tf.basis_values, anchors)
     det, diagonal = gram_determinant(x)
     rhs = 1
     for a in anchors:
@@ -349,8 +333,9 @@ def check_induction_certificate(cert: InductionCertificate,
     # conclusion cross-checks: the determinant relation and basis property
     det_base = det_target = 0
     if all(hyp.values()):
-        x_base = _matrix_for_rows(irr_s, cert.b_n, cert.base, sc)
-        x_tgt = _matrix_for_rows(irr_s, cert.b_f, cert.target, sc)
+        irr_values = [chi.values for chi in irr_s.chars]
+        x_base = _x_matrix(cert.b_n, irr_values, _rep_columns(cert.base))
+        x_tgt = _x_matrix(cert.b_f, irr_values, _rep_columns(cert.target))
         det_base, _ = gram_determinant(x_base)
         det_target, _ = gram_determinant(x_tgt)
         hyp["determinant_relation"] = det_base == p * p * det_target
@@ -360,15 +345,6 @@ def check_induction_certificate(cert: InductionCertificate,
         hyp["b_f_basis_of_target"] = False
     return CertificateReport(cert.label, hyp, all(hyp.values()), det_base,
                              det_target, containment_index)
-
-
-def _matrix_for_rows(irr_s, rows, fusion: FusionData, sc) -> list[list[Cyclotomic]]:
-    rep_cols = [sc.class_index_of(fusion.S, fc.rep) for fc in fusion.classes]
-    out = []
-    for coeffs in rows:
-        cf = irr_s.combination(coeffs)
-        out.append([cf.values[j] for j in rep_cols])
-    return out
 
 
 def _constant_on_classes(cf, fusion: FusionData, sc) -> bool:
@@ -416,56 +392,36 @@ def _has_unit_matching(coeffs: list[list[int]], eta: int) -> bool:
 
 def builtin_corpus() -> list[tuple[str, int]]:
     """(group name, prime) pairs for the whole-group verification corpus."""
-    entries = []
-    for n in range(2, 65):
-        entries.append((f"C{n}", 0))
-    for n in range(6, 65, 2):
-        entries.append((f"D{n}", 0))
-    for name in ["S3", "S4", "S5", "S6", "A4", "A5", "SL2_3", "GL2_3"]:
-        entries.append((name, 0))
-    expanded = []
-    for name, p in entries:
-        if p:
-            expanded.append((name, p))
-        else:
-            g = standard_group(name)
-            n = g.order
-            primes = []
-            d = 2
-            while d * d <= n:
-                if n % d == 0:
-                    primes.append(d)
-                    while n % d == 0:
-                        n //= d
-                d += 1
-            if n > 1:
-                primes.append(n)
-            expanded.extend((name, q) for q in primes)
-    return expanded
+    names = [f"C{n}" for n in range(2, 65)] + [f"D{n}" for n in range(6, 65, 2)]
+    names += ["S3", "S4", "S5", "S6", "A4", "A5", "SL2_3", "GL2_3"]
+    return [(name, q) for name in names
+            for q in prime_divisors(standard_group(name).order)]
 
 
-def run_group_corpus(entries=None, progress=None) -> dict:
-    """verify_group_case over the corpus; per-entry errors are isolated."""
+def run_group_corpus(entries=None, progress=None, load=standard_group) -> dict:
+    """verify_group_case over (name, p) entries, the group being load(name);
+    p = 0 stands for every prime divisor of |G|.  Per-entry errors are
+    isolated."""
     if entries is None:
         entries = builtin_corpus()
     reports = []
-    failures = []
     for name, p in entries:
-        label = f"{name}@p={p}"
+        done = []
         try:
-            g = standard_group(name)
-            rep = verify_group_case(g, p, label)
+            g = load(name)
+            for q in [p] if p else prime_divisors(g.order):
+                done.append(verify_group_case(g, q, f"{name}@p={q}"))
         except Exception as exc:  # isolate per-entry problems
-            rep = VerificationReport(label, p, 0, [], 0, 0, 0, "error", False,
-                                     {"error": str(exc)})
-        reports.append(rep)
-        if rep.verdict != "verified":
-            failures.append(rep)
-        if progress:
-            progress(rep)
+            done.append(VerificationReport(f"{name}@p={p}" if p else name, p, 0, [],
+                                           0, 0, 0, "error", False, {"error": str(exc)}))
+        for rep in done:
+            reports.append(rep)
+            if progress:
+                progress(rep)
+    failures = [r for r in reports if r.verdict != "verified"]
     return {
         "total": len(reports),
-        "verified": sum(1 for r in reports if r.verdict == "verified"),
+        "verified": len(reports) - len(failures),
         "failures": failures,
         "reports": reports,
     }

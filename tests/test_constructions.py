@@ -145,3 +145,11 @@ def test_induced_value_table2_entries():
         assert induced_value_formula(p, "psi100", 1, p * (p - 1), "v1") == -1
         assert induced_value_formula(p, "psi10e", 1, 2 * (p + 1), "v1+e*v3") == p
         assert induced_value_formula(p, "psi010", 1, 2 * (p - 1), "v2") == -p
+
+
+def test_table2_includes_regular_decomposition():
+    from fuschar.reftables import reproduce_table2
+
+    rep = reproduce_table2(3)
+    assert rep.ok, rep.discrepancies
+    assert {"item": "regular_character_identity"} in rep.matches

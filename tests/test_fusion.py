@@ -1,6 +1,7 @@
 import pytest
 
 from fuschar.fusion import (
+    TableFusion,
     apply_merges,
     centralizer_product,
     full_merge,
@@ -100,3 +101,20 @@ def test_rep_ordering_deterministic():
     keys = [(c.size, c.rep_order, c.rep.encoding()) for c in f.classes]
     assert keys == sorted(keys)
     assert f.classes[0].rep_order == 1
+
+
+@pytest.mark.parametrize("groups, message", [
+    ([[1, 10]], "out of range"),
+    ([[1, 5], [5, 6]], "more than one merge group"),
+    ([[1, 5], []], "nonempty"),
+])
+def test_table_fusion_rejects_bad_merge_groups(groups, message):
+    from fuschar.exotic import table_3492
+    from fuschar.specio import SpecError, fusion_from_spec
+
+    data = table_3492().to_json()
+    data["merge_groups"] = groups
+    with pytest.raises(ValueError, match=message):
+        TableFusion.from_json(data)
+    with pytest.raises(SpecError, match=message):
+        fusion_from_spec({"mode": "table", "table": data})

@@ -13,6 +13,8 @@ from fuschar.intlinalg import (
     mat_mul,
     p_part,
     p_valuation,
+    prime_divisors,
+    primitive_root,
     smith_invariants,
     solve_left,
 )
@@ -145,3 +147,16 @@ def test_kernel_and_solve():
     sol = solve_left([[2, 0], [0, 3]], [4, 9])
     assert sol == [2, 3]
     assert solve_left([[2, 0], [0, 3]], [1, 0]) is None
+
+
+def test_prime_divisors_and_primitive_root_by_brute_force():
+    for n in range(1, 200):
+        brute = tuple(q for q in range(2, n + 1)
+                      if n % q == 0 and all(q % d for d in range(2, q)))
+        assert prime_divisors(n) == brute, n
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 97, 101):
+        smallest = next(g for g in range(2, p)
+                        if len({pow(g, k, p) for k in range(1, p)}) == p - 1)
+        assert primitive_root(p) == smallest, p
+    with pytest.raises(ValueError):
+        primitive_root(2)

@@ -150,3 +150,44 @@ def test_cli_directory_corpus(tmp_path, capsys):
 
 def test_cli_large_gate():
     assert main(["paper", "--item", "table1", "--p", "7"]) == 2
+
+
+def test_cli_directory_corpus_isolates_bad_files(tmp_path, capsys):
+    (tmp_path / "c6.json").write_text(json.dumps(
+        {"kind": "permutation", "degree": 6,
+         "generators": [[1, 2, 3, 4, 5, 0]]}))
+    (tmp_path / "bad.json").write_text('{"kind": "banana"}')
+    assert main(["corpus", "--dir", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "c6.json@p=2: verified" in out and "c6.json@p=3: verified" in out
+    assert "verified 2 / 3" in out
+    assert "FAILED bad.json: error" in out
+
+
+def test_cli_spec_boundary_errors_exit_2(tmp_path, capsys):
+    assert main(["verify-group", "-g", str(tmp_path / "missing.json"), "-p", "2"]) == 2
+    assert "missing.json" in capsys.readouterr().err
+    no_p = tmp_path / "no_p.json"
+    no_p.write_text(json.dumps({"group": C8_SPEC, "mode": "group"}))
+    assert main(["verify-fusion", "-f", str(no_p)]) == 2
+    assert "missing field 'p'" in capsys.readouterr().err
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]")
+    assert main(["verify-group", "-g", str(not_object), "-p", "2"]) == 2
+    assert main(["corpus", "--dir", str(tmp_path / "no_such_dir")]) == 2
+
+
+def test_paper_exotic_error_verdict_exits_2(monkeypatch, capsys):
+    import fuschar.exotic
+    from fuschar.cyclotomic import Cyclotomic
+    from fuschar.fusion import TableFusion
+
+    def singular():
+        one, zero = Cyclotomic.one(), Cyclotomic.zero()
+        return TableFusion(p=2, group_order=2, labels=["1", "z"], class_sizes=[1, 1],
+                           centralizer_orders=[2, 2],
+                           basis_values=[[one, one], [zero, zero]], merge_groups=[])
+
+    monkeypatch.setattr(fuschar.exotic, "table_3492", singular)
+    assert main(["paper", "--item", "exotic:F_3492"]) == 2
+    assert ": error" in capsys.readouterr().out

@@ -14,6 +14,7 @@ from fuschar.fusion import apply_merges, full_merge, fusion_of_self
 from fuschar.groups import cyclic_group, standard_group
 from fuschar.stable import stable_character_basis
 from fuschar.verify import (
+    builtin_corpus,
     character_table_matrix,
     check_induction_certificate,
     gram_matrix,
@@ -173,3 +174,29 @@ def test_basis_change_invariance_small():
     x2 = character_table_matrix(lattice2, merged)
     det2, _ = gram_determinant(x2)
     assert det2 == base_det
+
+
+def test_group_case_builds_the_stable_lattice_once(monkeypatch):
+    import fuschar.verify
+
+    calls = []
+
+    def counting(irr_s, fusion):
+        calls.append(fusion)
+        return stable_character_basis(irr_s, fusion)
+
+    monkeypatch.setattr(fuschar.verify, "stable_character_basis", counting)
+    rep = verify_group_case(standard_group("S4"), 2, "S4@p=2")
+    assert rep.verdict == "verified" and rep.checks["restriction_identity"] is True
+    assert len(calls) == 1
+
+
+def test_builtin_corpus_and_prime_expansion():
+    entries = builtin_corpus()
+    assert len(entries) == 180
+    assert entries[:4] == [("C2", 2), ("C3", 3), ("C4", 2), ("C5", 5)]
+    assert ("GL2_3", 2) in entries and ("GL2_3", 3) in entries
+    # p = 0 expands to every prime divisor of the group order
+    summary = run_group_corpus([("C6", 0), ("S3", 3)])
+    assert [r.label for r in summary["reports"]] == ["C6@p=2", "C6@p=3", "S3@p=3"]
+    assert summary["verified"] == 3
