@@ -14,7 +14,7 @@ from math import isqrt
 
 from .cyclotomic import Cyclotomic, cyclo_sum, exact_div
 from .groups import ConjugacyClassSet, FiniteGroup, class_fusion_map, conjugacy_classes
-from .intlinalg import is_prime, primitive_root
+from .intlinalg import is_prime, primitive_root, rref_mod
 
 
 @dataclass(frozen=True)
@@ -84,29 +84,10 @@ def trivial_character(classes: ConjugacyClassSet) -> ClassFunction:
 
 def _nullspace_mod(rows: list[list[int]], l: int) -> list[list[int]]:
     """Basis rows of {x : M x = 0} over F_l (M given by rows)."""
-    m = len(rows)
     n = len(rows[0]) if rows else 0
-    a = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c] % l), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], -1, l)
-        a[r] = [(x * inv) % l for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % l for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
+    a, pivots, _ = rref_mod(rows, l)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         vec = [0] * n
         vec[fc] = 1
         for i, pc in enumerate(pivots):
@@ -344,34 +325,13 @@ def _solve_coords(w: list[list[int]], images: list[list[int]], l: int) -> list[l
     """Matrix B with images[i] = sum_j B[i][j] * w[j] over F_l."""
     d = len(w)
     k = len(w[0])
-    a = [row[:] for row in w]
-    ident = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, d) if a[i][c] % l), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        ident[r], ident[piv] = ident[piv], ident[r]
-        inv = pow(a[r][c], -1, l)
-        a[r] = [(x * inv) % l for x in a[r]]
-        ident[r] = [(x * inv) % l for x in ident[r]]
-        for i in range(d):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % l for x, y in zip(a[i], a[r])]
-                ident[i] = [(x - f * y) % l for x, y in zip(ident[i], ident[r])]
-        pivots.append(c)
-        r += 1
-        if r == d:
-            break
-    if r != d:
+    _, pivots, t = rref_mod(w, l)
+    if len(pivots) != d:
         raise AssertionError("subspace basis is degenerate")
     b = []
     for img in images:
         coords_reduced = [img[c] % l for c in pivots]
-        row = [sum(coords_reduced[j] * ident[j][i] for j in range(d)) % l
+        row = [sum(coords_reduced[j] * t[j][i] for j in range(d)) % l
                for i in range(d)]
         b.append(row)
     # verify (cheap, catches bookkeeping errors)

@@ -175,7 +175,9 @@ def _cmd_corpus(args) -> int:
         print(f"verified {summary['verified']} / {summary['total']}")
         for rep in summary["failures"]:
             print(f"  FAILED {rep.label}: {rep.verdict} {rep.checks}")
-    return EXIT_OK if not summary["failures"] else EXIT_COUNTEREXAMPLE
+    # the worst verdict decides: any error exits 2, else any counterexample 1
+    return max((VERDICT_EXIT.get(rep.verdict, EXIT_ERROR) for rep in summary["failures"]),
+               default=EXIT_OK)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, lcm
 
-from .intlinalg import prime_divisors, solve_left
+from .intlinalg import hnf, prime_divisors
 
 
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -318,14 +318,11 @@ def _descent_solver(e: int, d: int):
     """A function mapping canonical order-e coefficients to order-d ones.
 
     Solves c * B = v where row i of B is the canonical order-e vector of
-    zeta_d^i.  Returns None when no integer solution exists.
+    zeta_d^i.  Returns None when no integer solution exists.  B is factored
+    once per (e, d); each call only back-substitutes.
     """
     basis = [Cyclotomic.root_of_unity(d, i).embedded(e).coeffs for i in range(d)]
-
-    def solve(vec: tuple[int, ...]):
-        return solve_left([list(r) for r in basis], list(vec))
-
-    return solve
+    return hnf(basis).solve
 
 
 def exact_div(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:

@@ -295,20 +295,17 @@ def certificate_op_f1(p: int) -> InductionCertificate:
 
 
 def _basis_subset(ctx: OvergroupContext, rows: list[list[int]]) -> list[int]:
-    """Indices of restriction rows forming a basis of the stable lattice."""
-    from .intlinalg import hnf, lattice_index
+    """Indices of restriction rows forming a basis of the stable lattice.
+
+    The HNF pivots of the transposed rows are the greedy choice: each row
+    independent of the rows before it.  The first `rank` of them are kept.
+    """
+    from .intlinalg import hnf, lattice_index, transpose
     from .stable import stable_character_basis
 
     lattice = stable_character_basis(ctx.irr_s, ctx.base)
-    chosen: list[int] = []
-    acc: list[list[int]] = []
-    for i, row in enumerate(rows):
-        cand = acc + [row]
-        if hnf(cand).rank == len(cand):
-            chosen.append(i)
-            acc = cand
-        if len(acc) == lattice.rank:
-            break
+    chosen = list(hnf(transpose(rows)).pivots[:lattice.rank])
+    acc = [rows[i] for i in chosen]
     if len(acc) != lattice.rank or lattice_index(lattice.basis, acc) != 1:
         raise LookupError("restrictions do not span the stable lattice unimodularly")
     return chosen
@@ -377,7 +374,10 @@ def _psu_first_certificate(ctx: OvergroupContext) -> InductionCertificate:
     sigmas_pr = pick_rows(ctx, degree=p * (p - 1) ** 2 // 4)
     if len(sigmas) != 2 or len(sigmas_pr) != 2 or len(chi_rest) != p - 1:
         raise LookupError("unexpected restriction family sizes for the twisted base")
-    pairs = _pair_by_conjugate_values(ctx, sigmas, sigmas_pr)
+    # the split inductions are paired by position: their irrational values
+    # do not single out a Galois-aligned mate.  check_induction_certificate
+    # checks every hypothesis of the resulting basis.
+    pairs = list(zip(sigmas, sigmas_pr))
     b_n = [one, theta, chi0] + chi_rest + sigmas + sigmas_pr
     b_f = [_combo(b_n, [(1, one)])]
     b_f += [_combo(b_n, [(1, s), (1, sp)]) for s, sp in pairs]
@@ -395,29 +395,6 @@ def certificate_psu_59(p: int = 5) -> InductionCertificate:
     cert = _psu_first_certificate(overgroup_context(p, "N_gamma4star"))
     return InductionCertificate(cert.label + ":theta", cert.base, cert.target,
                                 cert.b_n, cert.b_f, 1, cert.z, cert.u)
-
-
-def _pair_by_conjugate_values(ctx: OvergroupContext, sigmas, sigmas_pr):
-    """Pair the split inductions whose irrational values are Galois-aligned."""
-    out = []
-    for s in sigmas:
-        key = None
-        for v in s.values:
-            if not v.is_rational_integer():
-                key = v.minimized()
-                break
-        mate = None
-        for sp in sigmas_pr:
-            vals = [v.minimized() for v in sp.values if not v.is_rational_integer()]
-            if key is not None and any(v == -key or v == key for v in vals):
-                mate = sp
-                break
-        if mate is None:
-            mate = sigmas_pr[0 if not out else 1]
-        if out and mate is out[0][1]:
-            mate = sigmas_pr[0] if sigmas_pr[1] is mate else sigmas_pr[1]
-        out.append((s, mate))
-    return out
 
 
 # -- the order-162 table-mode instance ------------------------------------------

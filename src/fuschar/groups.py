@@ -5,18 +5,12 @@ class fusion inside an overgroup.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from math import lcm
 
-from .intlinalg import is_prime, p_part
+from .intlinalg import is_prime, p_part, rref_mod
 
 DEFAULT_MAX_ORDER = 2_000_000
-
-
-def _max_order_cap() -> int:
-    env = os.environ.get("FUSCHAR_MAX_ORDER")
-    return int(env) if env else DEFAULT_MAX_ORDER
 
 
 def _element_power(x, n: int, identity):
@@ -131,21 +125,10 @@ class FpMat:
         return _element_power(self, n, FpMat.identity(self.p, self.dim))
 
     def inverse(self) -> "FpMat":
-        d, p = self.dim, self.p
-        aug = [list(self.entries[i * d:(i + 1) * d]) + [1 if j == i else 0 for j in range(d)]
-               for i in range(d)]
-        for col in range(d):
-            piv = next((r for r in range(col, d) if aug[r][col] % p), None)
-            if piv is None:
-                raise ValueError("matrix not invertible over F_p")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = pow(aug[col][col], -1, p)
-            aug[col] = [(x * inv) % p for x in aug[col]]
-            for r in range(d):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
-        return FpMat(p, d, [x for row in aug for x in row[d:]])
+        _, pivots, t = rref_mod(self.rows(), self.p)
+        if len(pivots) != self.dim:
+            raise ValueError("matrix not invertible over F_p")
+        return FpMat(self.p, self.dim, [x for row in t for x in row])
 
     def is_identity(self) -> bool:
         d = self.dim
@@ -203,7 +186,7 @@ class FiniteGroup:
 def enumerate_group(generators: list, max_order: int | None = None,
                     designated: dict | None = None) -> FiniteGroup:
     """Breadth-first closure of the generators, canonically ordered."""
-    cap = max_order if max_order is not None else _max_order_cap()
+    cap = max_order if max_order is not None else DEFAULT_MAX_ORDER
     if generators:
         first = generators[0]
         if isinstance(first, Perm):

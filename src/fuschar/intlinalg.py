@@ -1,8 +1,10 @@
 """Exact integer matrix kernels: HNF, Smith form, fraction-free determinants,
-p-adic valuations and lattice volume/index computations.
+p-adic valuations and lattice volume/index computations, plus Gauss-Jordan
+elimination over a prime field F_l.
 
 Matrices are lists of equal-length rows of arbitrary-precision ints (or
-Cyclotomic entries where noted).  Everything is exact; no modular shortcuts.
+Cyclotomic entries where noted).  Everything over Z is exact; no modular
+shortcuts.
 """
 
 from __future__ import annotations
@@ -50,6 +52,30 @@ class HNFResult:
     transform: list[list[int]]
     rank: int
     pivots: tuple[int, ...]
+
+    def solve(self, target: list[int] | tuple[int, ...]) -> list[int] | None:
+        """Integer x with x @ matrix == target, or None, where `matrix` is the
+        input this result was computed from.
+
+        Back-substitution against the echelon rows, so one factorisation
+        serves any number of targets.
+        """
+        h, u = self.hnf, self.transform
+        y = [0] * len(u)
+        rem = list(target)
+        for i, col in enumerate(self.pivots):
+            q, r = divmod(rem[col], h[i][col])
+            if r:
+                return None
+            y[i] = q
+            if q:
+                hi = h[i]
+                for k in range(len(rem)):
+                    rem[k] -= q * hi[k]
+        if any(rem):
+            return None
+        terms = [(q, u[i]) for i, q in enumerate(y) if q]
+        return [sum(q * row[j] for q, row in terms) for j in range(len(u))]
 
 
 def hnf(matrix: list[list[int]]) -> HNFResult:
@@ -130,22 +156,41 @@ def kernel_rows(matrix: list[list[int]]) -> list[list[int]]:
 
 def solve_left(basis: list[list[int]], target: list[int]) -> list[int] | None:
     """Integer x with x @ basis == target, or None."""
-    res = hnf(basis)
-    h, u = res.hnf, res.transform
-    y = [0] * len(basis)
-    rem = list(target)
-    for i, col in enumerate(res.pivots):
-        q, r = divmod(rem[col], h[i][col])
-        if r:
-            return None
-        y[i] = q
-        if q:
-            hi = h[i]
-            for k in range(len(rem)):
-                rem[k] -= q * hi[k]
-    if any(rem):
-        return None
-    return [sum(y[i] * u[i][j] for i in range(len(y))) for j in range(len(basis))]
+    return hnf(basis).solve(target)
+
+
+def rref_mod(rows: list[list[int]], l: int) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """Reduced row echelon form over F_l, l prime, by Gauss-Jordan elimination.
+
+    Returns (reduced, pivots, transform) with entries in [0, l):
+    transform @ rows == reduced over F_l, transform is invertible, row i of
+    `reduced` has its leading 1 in column pivots[i], and the rows after the
+    last pivot row are zero.  `reduced` depends only on the row space, and
+    `transform` is unique when the rows are independent.
+    """
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    # each row carries its transform row behind it: [row | e_i]
+    aug = [[x % l for x in row] + [1 if j == i else 0 for j in range(m)]
+           for i, row in enumerate(rows)]
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = pow(aug[r][c], -1, l)
+        pr = aug[r] = [(x * inv) % l for x in aug[r]]
+        for i in range(m):
+            f = aug[i][c]
+            if i != r and f:
+                aug[i] = [(x - f * y) % l for x, y in zip(aug[i], pr)]
+        pivots.append(c)
+        r += 1
+    return [row[:n] for row in aug], pivots, [row[n:] for row in aug]
 
 
 def smith_invariants(matrix: list[list[int]]) -> list[int]:
@@ -327,24 +372,21 @@ def primitive_root(p: int) -> int:
     raise ValueError(f"no primitive root modulo {p}")
 
 
-def change_of_basis(ambient: list[list[int]], sub: list[list[int]]) -> list[list[int]]:
-    """Rows of `sub` expressed over `ambient`; raises if not contained."""
-    rows = []
-    for vec in sub:
-        sol = solve_left(ambient, list(vec))
-        if sol is None:
-            raise ValueError("row space not contained in ambient lattice")
-        rows.append(sol)
-    return rows
-
-
 def lattice_index(ambient: list[list[int]], sub: list[list[int]]) -> int:
     """Index |ambient : sub| for a finite-index sublattice, via Smith divisors.
 
-    Cross-checked against |det| of the change-of-basis matrix (the two must
-    agree; a mismatch would signal an arithmetic bug).
+    The rows of `sub` are expressed over `ambient` (raises if one is not
+    contained), and the index is cross-checked against |det| of that
+    change-of-basis matrix (the two must agree; a mismatch would signal an
+    arithmetic bug).
     """
-    t = change_of_basis(ambient, sub)
+    solve = hnf(ambient).solve
+    t = []
+    for vec in sub:
+        sol = solve(vec)
+        if sol is None:
+            raise ValueError("row space not contained in ambient lattice")
+        t.append(sol)
     if len(t) != len(ambient):
         raise ValueError("rank mismatch: sublattice is not finite index")
     d = det_exact(t)

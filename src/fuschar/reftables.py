@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 from .chartable import regular_character
 from .constructions import (
-    ConstructionParams,
     count_n_v_psi,
     gamma_orbit_analysis,
     table3_expected,
@@ -102,7 +101,7 @@ def reproduce_table1(p: int) -> MatchReport:
 # -- Table 2 / Table 4: restrictions from V:Gamma and the merged basis -----------
 
 
-def table2_rows(p: int, eps: int) -> list[dict]:
+def table2_rows(p: int) -> list[dict]:
     """Expected values at (1, v1, v2, v1+eps*v3, u, u') as integers."""
     half = (p - 1) // 2
     return [
@@ -144,9 +143,8 @@ def _gamma_column_classes(ctx: OvergroupContext) -> list[int]:
 def reproduce_table2(p: int) -> MatchReport:
     report = MatchReport(f"table2@p={p}")
     ctx = overgroup_context(p, "N_gamma")
-    params = ConstructionParams.for_prime(p)
     cols = _gamma_column_classes(ctx)
-    expected = table2_rows(p, params.epsilon)
+    expected = table2_rows(p)
     by_vals = {tuple(r["vals"]): r for r in expected}
     realized = set()
     for row in ctx.rows:
@@ -197,9 +195,8 @@ def _table2_pick(ctx, cols, row_spec):
 
 def _table2_basis(ctx: OvergroupContext, cols: list[int], p: int) -> dict:
     """The six basis restrictions of Table 2, by row name."""
-    params = ConstructionParams.for_prime(p)
     return {r["name"]: _table2_pick(ctx, cols, r)
-            for r in table2_rows(p, params.epsilon) if r["basis"]}
+            for r in table2_rows(p) if r["basis"]}
 
 
 def table4_rows(p: int) -> list[dict]:

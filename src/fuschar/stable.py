@@ -6,7 +6,6 @@ indecomposable stable characters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .chartable import CharacterTable, ClassFunction, inner_product
@@ -18,7 +17,6 @@ from .intlinalg import (
     identity_matrix,
     kernel_rows,
     mat_mul,
-    solve_left,
     transpose,
 )
 
@@ -106,6 +104,7 @@ def decomposition_matrix(irr_g: CharacterTable, S: FiniteGroup,
     irr_index = {tuple(v.key() for v in psi.values): j
                  for j, psi in enumerate(lattice.irr_s.chars)}
     k_s = lattice.irr_s.k
+    solve = hnf(lattice.basis).solve
     rows = []
     outside = []
     for i, chi in enumerate(restricted):
@@ -114,7 +113,7 @@ def decomposition_matrix(irr_g: CharacterTable, S: FiniteGroup,
             coords = [1 if j == hit else 0 for j in range(k_s)]
         else:
             coords = irr_coordinates(chi, lattice.irr_s)
-        sol = solve_left(lattice.basis, coords)
+        sol = solve(coords)
         if sol is None:
             outside.append(i)
         else:
@@ -130,21 +129,16 @@ def decomposition_matrix(irr_g: CharacterTable, S: FiniteGroup,
 
 
 def _pivot_columns(basis: list[list[int]], degrees: list[int]) -> list[int]:
-    """Column set with invertible minor, greedily preferring large degrees."""
-    r = len(basis)
+    """Column set with invertible minor, greedily preferring large degrees.
+
+    The pivots of one HNF of the reordered columns are that greedy choice:
+    a column is a pivot exactly when it is independent of those before it.
+    """
     order = sorted(range(len(degrees)), key=lambda j: (-degrees[j], j))
-    chosen: list[int] = []
-    rows_so_far: list[list[int]] = []
-    for j in order:
-        cand = rows_so_far + [[row[j] for row in basis]]
-        if len(hnf(transpose(cand)).pivots) == len(cand):
-            chosen.append(j)
-            rows_so_far = cand
-        if len(chosen) == r:
-            break
-    if len(chosen) != r:
+    res = hnf([[row[j] for j in order] for row in basis])
+    if res.rank != len(basis):
         raise AssertionError("stable basis has deficient column rank")
-    return chosen
+    return [order[c] for c in res.pivots]
 
 
 def genuine_stable_characters(lattice: StableLattice, degree_bound: int,
@@ -155,8 +149,8 @@ def genuine_stable_characters(lattice: StableLattice, degree_bound: int,
     basis = lattice.basis
     r = lattice.rank
     piv = _pivot_columns(basis, degrees)
-    minor = [[Fraction(basis[i][j]) for j in piv] for i in range(r)]
-    inv = _fraction_inverse(minor)
+    # the minor is invertible, so each target has at most one solution
+    solve = hnf([[basis[i][j] for j in piv] for i in range(r)]).solve
     ranges = [range(degree_bound // degrees[j] + 1) for j in piv]
     count = 1
     for rg in ranges:
@@ -170,15 +164,14 @@ def genuine_stable_characters(lattice: StableLattice, degree_bound: int,
             break
         if not any(yp):
             continue
-        coeffs = [sum(Fraction(yp[i]) * inv[i][j] for i in range(r)) for j in range(r)]
-        if any(c.denominator != 1 for c in coeffs):
+        coeffs = solve(yp)
+        if coeffs is None:
             continue
         vec = [0] * len(degrees)
         for i, c in enumerate(coeffs):
-            ci = int(c)
-            if ci:
+            if c:
                 for j, b in enumerate(basis[i]):
-                    vec[j] += ci * b
+                    vec[j] += c * b
         if any(v < 0 for v in vec):
             continue
         if sum(v * d for v, d in zip(vec, degrees)) > degree_bound:
@@ -186,22 +179,6 @@ def genuine_stable_characters(lattice: StableLattice, degree_bound: int,
         found.append(tuple(vec))
     found.sort(key=lambda v: (sum(x * d for x, d in zip(v, degrees)), v))
     return found, complete
-
-
-def _fraction_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    aug = [row[:] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if aug[r][c])
-        aug[c], aug[piv] = aug[piv], aug[c]
-        f = aug[c][c]
-        aug[c] = [x / f for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                g = aug[r][c]
-                aug[r] = [x - g * y for x, y in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
 
 
 def indecomposables_bounded(lattice: StableLattice, degree_bound: int,

@@ -13,7 +13,7 @@ from .chartable import CharacterTable, dixon_character_table
 from .cyclotomic import Cyclotomic
 from .fusion import FusionData, TableFusion, centralizer_product, fusion_from_group
 from .groups import FiniteGroup, conjugacy_classes, standard_group, sylow_subgroup
-from .intlinalg import det_exact, hnf, lattice_index, p_part, prime_divisors, solve_left
+from .intlinalg import det_exact, hnf, lattice_index, p_part, prime_divisors
 from .stable import (
     StableLattice,
     decomposition_matrix,
@@ -295,8 +295,9 @@ def check_induction_certificate(cert: InductionCertificate,
 
     coeffs = []
     solvable = True
+    solve = hnf(cert.b_n).solve
     for row in cert.b_f:
-        sol = solve_left(cert.b_n, list(row))
+        sol = solve(row)
         if sol is None:
             solvable = False
             break

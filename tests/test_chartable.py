@@ -1,6 +1,11 @@
 import random
+from itertools import product
+
+import pytest
 
 from fuschar.chartable import (
+    _nullspace_mod,
+    _solve_coords,
     dixon_character_table,
     induce_class_function,
     inner_product,
@@ -150,3 +155,35 @@ def test_frobenius_reciprocity_random_pairs():
                 lhs = inner_product(induced, chi, tab_g.classes, g.order)
                 rhs = inner_product(theta, chi_h, tab_h.classes, h.order)
                 assert lhs == rhs
+
+
+def span_size_mod(rows, l):
+    """Oracle: the number of distinct F_l-combinations of the rows."""
+    n = len(rows[0])
+    return len({tuple(sum(c * row[j] for c, row in zip(cs, rows)) % l for j in range(n))
+                for cs in product(range(l), repeat=len(rows))})
+
+
+def test_nullspace_mod_is_killed_and_has_dimension_n_minus_rank():
+    rng = random.Random(10)
+    for _ in range(40):
+        l = rng.choice([2, 3, 5, 7])
+        m, n = rng.randint(1, 3), rng.randint(1, 4)
+        rows = [[rng.randrange(-l, 2 * l) for _ in range(n)] for _ in range(m)]
+        size = span_size_mod(rows, l)
+        rank = next(r for r in range(m + 1) if l ** r == size)
+        null = _nullspace_mod(rows, l)
+        assert len(null) == n - rank
+        for vec in null:
+            assert all(sum(a * x for a, x in zip(row, vec)) % l == 0 for row in rows)
+        if null:
+            assert span_size_mod(null, l) == l ** len(null)  # independent
+
+
+def test_solve_coords_rejects_an_image_outside_the_subspace():
+    w = [[1, 0, 0], [0, 1, 0]]
+    assert _solve_coords(w, [[2, 3, 0], [0, 0, 0]], 5) == [[2, 3], [0, 0]]
+    with pytest.raises(AssertionError, match="left the invariant subspace"):
+        _solve_coords(w, [[0, 0, 1]], 5)
+    with pytest.raises(AssertionError, match="degenerate"):
+        _solve_coords([[1, 2], [2, 4]], [[1, 2]], 5)

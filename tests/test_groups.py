@@ -1,7 +1,11 @@
+import random
+from itertools import product
+
 import pytest
 
 from fuschar.constructions import build_group
 from fuschar.groups import (
+    FpMat,
     Perm,
     alternating_group,
     class_fusion_map,
@@ -125,3 +129,27 @@ def test_exponent_and_element_order():
     assert a4.exponent() == 6
     d = dihedral_group(10)
     assert d.exponent() == 10
+
+
+def test_fpmat_inverse_and_singular_matrices():
+    rng = random.Random(11)
+    seen_singular = seen_invertible = 0
+    for _ in range(80):
+        p, d = rng.choice([2, 3, 5, 7]), rng.randint(1, 4)
+        m = FpMat(p, d, [rng.randrange(p) for _ in range(d * d)])
+        rows = m.rows()
+        # the rows are dependent iff some nonzero combination vanishes
+        singular = any(
+            any(c) and all(sum(ci * r[j] for ci, r in zip(c, rows)) % p == 0 for j in range(d))
+            for c in product(range(p), repeat=d))
+        if singular:
+            seen_singular += 1
+            with pytest.raises(ValueError, match="not invertible"):
+                m.inverse()
+            with pytest.raises(ValueError):
+                m.validate()
+        else:
+            seen_invertible += 1
+            inv = m.inverse()
+            assert (inv * m).is_identity() and (m * inv).is_identity()
+    assert seen_singular and seen_invertible

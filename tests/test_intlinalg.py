@@ -15,8 +15,10 @@ from fuschar.intlinalg import (
     p_valuation,
     prime_divisors,
     primitive_root,
+    rref_mod,
     smith_invariants,
     solve_left,
+    transpose,
 )
 
 
@@ -160,3 +162,77 @@ def test_prime_divisors_and_primitive_root_by_brute_force():
         assert primitive_root(p) == smallest, p
     with pytest.raises(ValueError):
         primitive_root(2)
+
+
+def solvable_in_box(m, target, bound):
+    """Oracle: some integer x with |x_i| <= bound has x @ m == target."""
+    for x in product(range(-bound, bound + 1), repeat=len(m)):
+        if all(sum(xi * row[j] for xi, row in zip(x, m)) == t
+               for j, t in enumerate(target)):
+            return True
+    return False
+
+
+def test_hnf_solve_against_solve_left_and_brute_force():
+    # at most two rows, entries and targets in [-2, 2]: Cramer's rule (rank
+    # two) and the extended gcd (rank one) put a solution inside |x_i| <= 8
+    # whenever one exists, so the box search decides solvability
+    rng = random.Random(5)
+    for _ in range(60):
+        m = random_matrix(rng, rng.randint(1, 2), rng.randint(1, 3), -2, 2)
+        res = hnf(m)
+        targets = [[rng.randint(-2, 2) for _ in m[0]] for _ in range(6)]
+        targets.append(mat_mul([[rng.randint(-2, 2) for _ in m]], m)[0])
+        for t in targets:
+            x = res.solve(t)
+            assert x == solve_left(m, t)
+            if x is not None:
+                assert mat_mul([x], m)[0] == t
+            assert (x is not None) == solvable_in_box(m, t, 8), (m, t)
+
+
+def test_hnf_solve_reuses_one_factorisation():
+    rng = random.Random(6)
+    for _ in range(20):
+        m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+        res = hnf(m)
+        for _ in range(5):
+            t = mat_mul([[rng.randint(-3, 3) for _ in m]], m)[0]
+            x = res.solve(t)
+            assert x == solve_left(m, t) and mat_mul([x], m)[0] == t
+
+
+def greedy_independent_rows(rows):
+    """Oracle: the greedy loop that keeps each row raising the rank."""
+    chosen, acc = [], []
+    for i, row in enumerate(rows):
+        if hnf(acc + [row]).rank == len(acc) + 1:
+            chosen.append(i)
+            acc.append(row)
+    return chosen
+
+
+def test_rank_profile_is_the_greedy_choice():
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        base = random_matrix(rng, rng.randint(1, 4), n, -3, 3)
+        # rows mixing a few base rows, so dependencies are common
+        rows = [mat_mul([[rng.randint(-2, 2) for _ in base]], base)[0]
+                for _ in range(rng.randint(1, 7))]
+        assert list(hnf(transpose(rows)).pivots) == greedy_independent_rows(rows)
+
+
+def test_rref_mod_transform_and_echelon_shape():
+    rng = random.Random(8)
+    for _ in range(60):
+        l = rng.choice([2, 3, 5, 7, 13])
+        rows = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), -20, 20)
+        reduced, pivots, t = rref_mod(rows, l)
+        assert [[x % l for x in r] for r in mat_mul(t, rows)] == reduced
+        assert det_exact(t) % l
+        for i, c in enumerate(pivots):
+            assert reduced[i][c] == 1
+            assert all(reduced[j][c] == 0 for j in range(len(rows)) if j != i)
+            assert not any(reduced[i][:c])
+        assert not any(x for r in reduced[len(pivots):] for x in r)

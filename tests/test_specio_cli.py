@@ -157,11 +157,30 @@ def test_cli_directory_corpus_isolates_bad_files(tmp_path, capsys):
         {"kind": "permutation", "degree": 6,
          "generators": [[1, 2, 3, 4, 5, 0]]}))
     (tmp_path / "bad.json").write_text('{"kind": "banana"}')
-    assert main(["corpus", "--dir", str(tmp_path)]) == 1
+    assert main(["corpus", "--dir", str(tmp_path)]) == 2
     out = capsys.readouterr().out
     assert "c6.json@p=2: verified" in out and "c6.json@p=3: verified" in out
     assert "verified 2 / 3" in out
     assert "FAILED bad.json: error" in out
+
+
+def test_cli_corpus_exits_with_the_worst_verdict(monkeypatch, capsys):
+    import fuschar.cli
+    from fuschar.verify import VerificationReport
+
+    def fake_corpus(verdicts):
+        reports = [VerificationReport(f"x{i}@p=2", 2, 0, [], 0, 0, 0, v, False, {})
+                   for i, v in enumerate(verdicts)]
+        failures = [r for r in reports if r.verdict != "verified"]
+        summary = {"total": len(reports), "verified": len(reports) - len(failures),
+                   "failures": failures, "reports": reports}
+        return lambda progress: summary
+
+    for verdicts, code in ((["verified"], 0), (["counterexample", "verified"], 1),
+                           (["counterexample", "error"], 2), (["error"], 2)):
+        monkeypatch.setattr(fuschar.cli, "run_group_corpus", fake_corpus(verdicts))
+        assert main(["corpus"]) == code, verdicts
+    capsys.readouterr()
 
 
 def test_cli_spec_boundary_errors_exit_2(tmp_path, capsys):

@@ -1,10 +1,12 @@
+import random
 from math import gcd
 
 from fuschar.chartable import dixon_character_table, restrict_table
 from fuschar.fusion import apply_merges, full_merge, fusion_from_group, fusion_of_self
 from fuschar.groups import cyclic_group, standard_group, sylow_subgroup
-from fuschar.intlinalg import lattice_index
+from fuschar.intlinalg import hnf, lattice_index, transpose
 from fuschar.stable import (
+    _pivot_columns,
     decomposition_matrix,
     factoriality_check,
     genuine_stable_characters,
@@ -136,3 +138,38 @@ def test_genuine_enumeration_flags_incomplete():
     _, _, tab, lattice = c8_merged_lattice()
     found, complete = genuine_stable_characters(lattice, 3, cap=5)
     assert not complete
+
+
+def greedy_pivot_columns(basis, degrees):
+    """Oracle: one HNF per candidate column, largest degrees first."""
+    r = len(basis)
+    order = sorted(range(len(degrees)), key=lambda j: (-degrees[j], j))
+    chosen, cols = [], []
+    for j in order:
+        cand = cols + [[row[j] for row in basis]]
+        if len(hnf(transpose(cand)).pivots) == len(cand):
+            chosen.append(j)
+            cols = cand
+        if len(chosen) == r:
+            break
+    return chosen
+
+
+def test_pivot_columns_are_the_greedy_choice():
+    rng = random.Random(9)
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        r = rng.randint(1, n)
+        # independent rows whose columns repeat, so many columns are skipped
+        width = rng.randint(r, n)
+        while True:
+            base = [[rng.randint(-2, 2) for _ in range(width)] for _ in range(r)]
+            if hnf(base).rank == r:
+                break
+        cols = transpose(base)
+        basis = transpose([rng.choice(cols) for _ in range(n)])
+        degrees = [rng.randint(1, 4) for _ in range(n)]
+        if hnf(basis).rank < r:
+            continue
+        assert _pivot_columns(basis, degrees) == greedy_pivot_columns(basis, degrees)
+        assert len(_pivot_columns(basis, degrees)) == r
