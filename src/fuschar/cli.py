@@ -83,24 +83,25 @@ def _cmd_char_table(args) -> int:
     return EXIT_OK
 
 
-def _paper_exotic(name: str, p: int, fmt: str, large: bool = False) -> int:
+def _paper_exotic(name: str, p: int | None, fmt: str, large: bool = False) -> int:
     from .exotic import (
         build_exotic_fusion,
         chain_certificates,
+        exotic_fusion_spec,
         overgroup_context,
         table_3492,
     )
     from .verify import check_induction_certificate, verify_table_fusion
 
-    if name == "F_3492":
+    # the chains exist only at p = 5; every other system defaults to p = 3
+    spec = exotic_fusion_spec(name, p or (5 if name.startswith("F547_chain") else 3))
+    p = spec["p"]
+    if spec["mode"] == "table":
         return _report_exit(verify_table_fusion(table_3492()), fmt)
-    if name.startswith("F547_chain"):
-        family = name.split(":", 1)[1] if ":" in name else "psu"
-        certs = chain_certificates(family, 5)
-        base_which = "N_gamma4star" if family == "psu" else "N_b"
-        ctx = overgroup_context(5, base_which)
+    if spec["mode"] == "chain":
+        ctx = overgroup_context(p, spec["base"])
         code = EXIT_OK
-        for cert in certs:
+        for cert in chain_certificates(spec["family"], p):
             rep = check_induction_certificate(cert, ctx.irr_s)
             status = "passed" if rep.ok else f"FAILED {rep.failures()}"
             print(f"{cert.label}: certificate {status}")
@@ -118,8 +119,7 @@ def _cmd_paper(args) -> int:
 
     item = args.item
     if item.startswith("exotic:"):
-        return _paper_exotic(item.split(":", 1)[1], args.p or 3, args.format,
-                             args.large)
+        return _paper_exotic(item.split(":", 1)[1], args.p, args.format, args.large)
     if item not in PAPER_ITEMS:
         raise SpecError(f"unknown item {item!r}; choose from "
                         f"{PAPER_ITEMS} or exotic:<name>")

@@ -323,27 +323,13 @@ def chain_certificates(family: str, p: int = 5) -> list[InductionCertificate]:
     family "psu": base V:Gamma*_(4); family "g": base S:<b> (first step is the
     printed basis of the pruned system).
     """
-    if p != 5:
-        raise ValueError("the published chains are specific to p = 5")
-    if family == "psu":
-        ctx = overgroup_context(p, "N_gamma4star")
-        first = None
-    elif family == "g":
-        ctx = overgroup_context(p, "N_b")
-        first = certificate_g(p)
-    else:
-        raise ValueError(f"unknown chain family {family!r}")
+    ctx = overgroup_context(p, exotic_fusion_spec(f"F547_chain:{family}", p)["base"])
     z = ctx.z_element()
     u_classes = ctx.u_class_indices
     labels = CHAIN_LABELS[family]
-    certs: list[InductionCertificate] = []
-    if family == "psu":
-        certs.append(_psu_first_certificate(ctx))
-    else:
-        certs.append(first)
+    certs = [_psu_first_certificate(ctx) if family == "psu" else certificate_g(p)]
     fusion = certs[0].target
     b_rows = certs[0].b_f
-    merged = {ctx.base.classes[u_classes[0]].rep}
     for step, label_i in enumerate(labels[1:], start=1):
         u_new = ctx.base.classes[u_classes[step]].rep
         cert, b_f = auto_step_certificate(

@@ -180,9 +180,15 @@ class TableFusion:
 
     def __post_init__(self) -> None:
         k = len(self.labels)
+        if not is_prime(self.p):
+            raise ValueError(f"table-mode p = {self.p} is not prime")
+        if k == 0:
+            raise ValueError("a table-mode fusion needs at least one class")
         if not (len(self.class_sizes) == len(self.centralizer_orders) == k):
             raise ValueError("inconsistent table-mode class data")
-        if any(len(row) != k for row in self.basis_values):
+        if min(self.class_sizes) <= 0 or min(self.centralizer_orders) <= 0:
+            raise ValueError("class sizes and centralizer orders must be positive")
+        if len(self.basis_values) != k or any(len(row) != k for row in self.basis_values):
             raise ValueError("basis value matrix must be square over the classes")
         if sum(self.class_sizes) != self.group_order:
             raise ValueError("class sizes must sum to the group order")

@@ -16,6 +16,7 @@ import re
 
 from .fusion import FusionData, TableFusion, apply_merges, fusion_from_group
 from .groups import FiniteGroup, FpMat, Perm, enumerate_group, sylow_subgroup
+from .intlinalg import is_prime
 
 
 class SpecError(ValueError):
@@ -69,6 +70,8 @@ def group_from_spec(spec: dict) -> FiniteGroup:
     elif kind == "matrix":
         dim = int(spec["dim"])
         p = int(spec["char"])
+        if not is_prime(p):
+            raise SpecError(f"matrix field characteristic char = {p} is not prime")
         for i, rows in enumerate(spec.get("generators", [])):
             if len(rows) != dim or any(len(r) != dim for r in rows):
                 raise SpecError(f"generator {i} is not {dim}x{dim}")

@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .chartable import CharacterTable, dixon_character_table
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, cyclo_sum
 from .fusion import FusionData, TableFusion, centralizer_product, fusion_from_group
 from .groups import FiniteGroup, conjugacy_classes, standard_group, sylow_subgroup
-from .intlinalg import det_exact, hnf, lattice_index, p_part, prime_divisors
+from .intlinalg import det_exact, hnf, lattice_index, mat_mul, p_part, prime_divisors, transpose
 from .stable import (
     StableLattice,
     decomposition_matrix,
@@ -72,16 +72,11 @@ def _x_matrix(coeff_rows, value_rows, cols) -> list[list[Cyclotomic]]:
     return out
 
 
-def _rep_columns(fusion: FusionData) -> list[int]:
-    """S-class index of each fusion class's fully centralised representative."""
-    sc = conjugacy_classes(fusion.S)
-    return [sc.class_index_of(fusion.S, fc.rep) for fc in fusion.classes]
-
-
 def character_table_matrix(lattice: StableLattice, fusion: FusionData) -> list[list[Cyclotomic]]:
     """X[i][j] = value of basis row i at the j-th fully centralised rep."""
+    sc = conjugacy_classes(fusion.S)
     return _x_matrix(lattice.basis, [chi.values for chi in lattice.irr_s.chars],
-                     _rep_columns(fusion))
+                     [sc.class_index_of(fusion.S, fc.rep) for fc in fusion.classes])
 
 
 def gram_matrix(x: list[list[Cyclotomic]]) -> list[list[Cyclotomic]]:
@@ -107,19 +102,34 @@ def gram_matrix(x: list[list[Cyclotomic]]) -> list[list[Cyclotomic]]:
 
 
 def gram_determinant(x: list[list[Cyclotomic]]) -> tuple[int, bool]:
-    """(det of X conj(X)^T as a rational integer, diagonal flag)."""
+    """(det of X conj(X)^T as a rational integer, diagonal flag); the test oracle."""
     m = gram_matrix(x)
     n = len(m)
     diagonal = all(m[i][j].is_zero() for i in range(n) for j in range(n) if i != j)
-    if diagonal:
-        det = 1
-        for i in range(n):
-            det *= m[i][i].rational_value()
-    else:
-        det = det_exact(m).rational_value()
+    det = det_exact(m).rational_value()
     if det < 0:
         raise AssertionError("Gram determinant must be nonnegative")
     return det, diagonal
+
+
+def lattice_determinant(gram: list[list[int]], order: int,
+                        class_sizes: list[int]) -> tuple[int, int]:
+    """(det of X conj(X)^T, det(gram)) from the integer Gram of a stable basis.
+
+    The basis is constant on each fusion class C_i, so its Gram is
+    X diag(|C_i|/|S|) conj(X)^T and det(X conj(X)^T) = det(gram) |S|^k / prod |C_i|.
+    """
+    discriminant = det_exact(gram)
+    det, rem = divmod(discriminant * order ** len(class_sizes), prod(class_sizes))
+    if rem:
+        raise ArithmeticError("det(gram) * |S|^k is not divisible by prod |C_i|")
+    return det, discriminant
+
+
+def _basis_determinant(basis: list[list[int]], fusion: FusionData) -> tuple[int, int]:
+    """lattice_determinant of rows in orthonormal Irr(S) coordinates: Gram B B^T."""
+    return lattice_determinant(mat_mul(basis, transpose(basis)), fusion.S.order,
+                               [fc.size for fc in fusion.classes])
 
 
 def verify_conjecture(fusion: FusionData, irr_s: CharacterTable,
@@ -129,37 +139,39 @@ def verify_conjecture(fusion: FusionData, irr_s: CharacterTable,
 
 
 def _verify(fusion: FusionData, irr_s: CharacterTable, label: str):
-    """(report, stable lattice, X); lattice and X are None on an error verdict."""
+    """(report, stable lattice); the lattice is None if it could not be built."""
     t0 = time.perf_counter()
     p = fusion.p
     rhs = centralizer_product(fusion)
     if rhs != p_part(rhs, p):
         raise AssertionError("centralizer product must be a power of p")
     reps = [(repr(fc.rep), fc.rep_order, fc.centralizer_order) for fc in fusion.classes]
-
-    def error(message: str):
-        return VerificationReport(label, p, fusion.k, reps, 0, 0, rhs, "error",
-                                  fusion.saturation_certified, {"error": message},
-                                  time.perf_counter() - t0), None, None
-
     try:
         lattice = stable_character_basis(irr_s, fusion)
-        x = character_table_matrix(lattice, fusion)
-        det, diagonal = gram_determinant(x)
+        dets = _basis_determinant(lattice.basis, fusion)
     except (AssertionError, ArithmeticError, ValueError) as exc:
-        return error(str(exc))
-    if det == 0:
-        return error("singular character table matrix")
+        lattice, dets = None, str(exc)
+    return _report(label, p, reps, rhs, fusion.saturation_certified, t0, dets), lattice
+
+
+def _report(label: str, p: int, reps: list, rhs: int, certified: bool, t0: float,
+            dets: tuple[int, int] | str) -> VerificationReport:
+    """The report of both modes from (det, discriminant) or an error message:
+    an error or a singular matrix is an "error" verdict, else the p-part decides."""
+    if dets == (0, 0):
+        dets = "singular character table matrix"
+    if isinstance(dets, str):
+        return VerificationReport(label, p, len(reps), reps, 0, 0, rhs, "error",
+                                  certified, {"error": dets}, time.perf_counter() - t0)
+    det, discriminant = dets
     lhs_p = p_part(det, p)
     verdict = "verified" if lhs_p == rhs else "counterexample"
-    checks = {"gram_diagonal": diagonal}
-    if not fusion.saturation_certified and verdict == "counterexample":
+    checks = {"lattice_discriminant": str(discriminant)}
+    if not certified and verdict == "counterexample":
         checks["note"] = ("identity fails on an input not certified saturated; "
                           "this is not a counterexample to the saturated conjecture")
-    report = VerificationReport(label, p, fusion.k, reps, det, lhs_p, rhs, verdict,
-                                fusion.saturation_certified, checks,
-                                time.perf_counter() - t0)
-    return report, lattice, x
+    return VerificationReport(label, p, len(reps), reps, det, lhs_p, rhs, verdict,
+                              certified, checks, time.perf_counter() - t0)
 
 
 def verify_group_case(G: FiniteGroup, p: int, label: str = "") -> VerificationReport:
@@ -173,9 +185,10 @@ def verify_group_case(G: FiniteGroup, p: int, label: str = "") -> VerificationRe
                                   time.perf_counter() - t0)
     fusion = fusion_from_group(G, S, p)
     irr_s = dixon_character_table(S)
-    report, lattice, x = _verify(fusion, irr_s, label)
+    report, lattice = _verify(fusion, irr_s, label)
     if report.verdict == "error":
         return report
+    x = character_table_matrix(lattice, fusion)
     irr_g = dixon_character_table(G)
     dec = decomposition_matrix(irr_g, S, lattice)
     det_c = dec.det_c
@@ -183,9 +196,7 @@ def verify_group_case(G: FiniteGroup, p: int, label: str = "") -> VerificationRe
     report.checks["gcd_det_C_p"] = gcd(abs(det_c), p)
     gc = irr_g.classes
     g_cols = [gc.class_index_of(G, fc.rep) for fc in fusion.classes]
-    prod_cg = 1
-    for j in g_cols:
-        prod_cg *= gc.classes[j].centralizer_order
+    prod_cg = prod(gc.classes[j].centralizer_order for j in g_cols)
     report.checks["eq_3_2"] = (report.lhs_det * det_c == prod_cg)
     report.checks["restriction_identity"] = _check_dx_identity(dec, x, irr_g, g_cols)
     if report.checks["gcd_det_C_p"] != 1 or not report.checks["eq_3_2"] \
@@ -216,21 +227,27 @@ def verify_table_fusion(tf: TableFusion, label: str = "") -> VerificationReport:
     for grp in tf.merged_partition():
         anchor = max(grp, key=lambda j: (tf.centralizer_orders[j], -j))
         groups.append([anchor] + [j for j in grp if j != anchor])
-    e = lcm(*(v.order for row in tf.basis_values for v in row))
-    basis = stable_kernel_basis(tf.basis_values, groups, e)
-    anchors = [grp[0] for grp in groups]
-    x = _x_matrix(basis, tf.basis_values, anchors)
-    det, diagonal = gram_determinant(x)
-    rhs = 1
-    for a in anchors:
-        rhs *= tf.centralizer_orders[a]
-    reps = [(tf.labels[a], 0, tf.centralizer_orders[a]) for a in anchors]
-    lhs_p = p_part(det, tf.p) if det else 0
-    verdict = "verified" if det and lhs_p == rhs else \
-        ("error" if det == 0 else "counterexample")
-    return VerificationReport(label or tf.name, tf.p, len(groups), reps, det,
-                              lhs_p, rhs, verdict, False,
-                              {"gram_diagonal": diagonal}, time.perf_counter() - t0)
+    reps = [(tf.labels[grp[0]], 0, tf.centralizer_orders[grp[0]]) for grp in groups]
+    try:
+        e = lcm(*(v.order for row in tf.basis_values for v in row))
+        basis = stable_kernel_basis(tf.basis_values, groups, e)
+        gram = mat_mul(mat_mul(basis, _table_gram(tf)), transpose(basis))
+        dets = lattice_determinant(gram, tf.group_order,
+                                   [sum(tf.class_sizes[j] for j in grp) for grp in groups])
+    except (AssertionError, ArithmeticError, ValueError) as exc:
+        dets = str(exc)
+    return _report(label or tf.name, tf.p, reps, prod(c for _, _, c in reps), False, t0, dets)
+
+
+def _table_gram(tf: TableFusion) -> list[list[int]]:
+    """Integer Gram <a, b> of the basis rows from the base class sizes; a
+    non-integral entry means the rows are not virtual characters."""
+    sums = [[cyclo_sum(x * y.conjugate() * c for x, y, c in zip(a, b, tf.class_sizes))
+             for b in tf.basis_values] for a in tf.basis_values]
+    if not all(v.is_rational_integer() and v.rational_value() % tf.group_order == 0
+               for row in sums for v in row):
+        raise ValueError("table-mode basis rows are not virtual characters")
+    return [[v.rational_value() // tf.group_order for v in row] for row in sums]
 
 
 # -- induction certificates ----------------------------------------------------
@@ -334,11 +351,8 @@ def check_induction_certificate(cert: InductionCertificate,
     # conclusion cross-checks: the determinant relation and basis property
     det_base = det_target = 0
     if all(hyp.values()):
-        irr_values = [chi.values for chi in irr_s.chars]
-        x_base = _x_matrix(cert.b_n, irr_values, _rep_columns(cert.base))
-        x_tgt = _x_matrix(cert.b_f, irr_values, _rep_columns(cert.target))
-        det_base, _ = gram_determinant(x_base)
-        det_target, _ = gram_determinant(x_tgt)
+        det_base, _ = _basis_determinant(cert.b_n, cert.base)
+        det_target, _ = _basis_determinant(cert.b_f, cert.target)
         hyp["determinant_relation"] = det_base == p * p * det_target
         hyp["b_f_basis_of_target"] = _spans_same_lattice(target_lattice.basis, cert.b_f)
     else:

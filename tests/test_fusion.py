@@ -1,5 +1,6 @@
 import pytest
 
+from fuschar.exotic import table_3492
 from fuschar.fusion import (
     TableFusion,
     apply_merges,
@@ -114,6 +115,24 @@ def test_table_fusion_rejects_bad_merge_groups(groups, message):
 
     data = table_3492().to_json()
     data["merge_groups"] = groups
+    with pytest.raises(ValueError, match=message):
+        TableFusion.from_json(data)
+    with pytest.raises(SpecError, match=message):
+        fusion_from_spec({"mode": "table", "table": data})
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"p": 4}, "not prime"),
+    ({"centralizer_orders": [81, 81, -27, 27, 9, 9, 9, 27, 27, 27]}, "must be positive"),
+    ({"class_sizes": [1, 2, 0, 6, 18, 18, 18, 6, 6, 6]}, "must be positive"),
+    ({"basis_values": table_3492().to_json()["basis_values"][:9]}, "must be square"),
+    ({"group_order": 0, "labels": [], "class_sizes": [], "centralizer_orders": [],
+      "basis_values": [], "merge_groups": []}, "at least one class"),
+])
+def test_table_fusion_rejects_bad_class_data(fields, message):
+    from fuschar.specio import SpecError, fusion_from_spec
+
+    data = dict(table_3492().to_json(), **fields)
     with pytest.raises(ValueError, match=message):
         TableFusion.from_json(data)
     with pytest.raises(SpecError, match=message):

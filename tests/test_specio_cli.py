@@ -194,6 +194,13 @@ def test_cli_spec_boundary_errors_exit_2(tmp_path, capsys):
     not_object.write_text("[1, 2]")
     assert main(["verify-group", "-g", str(not_object), "-p", "2"]) == 2
     assert main(["corpus", "--dir", str(tmp_path / "no_such_dir")]) == 2
+    capsys.readouterr()
+    for char in (0, 4):
+        bad_char = tmp_path / f"char{char}.json"
+        bad_char.write_text(json.dumps({"kind": "matrix", "dim": 2, "char": char,
+                                        "generators": [[[1, 1], [0, 1]]]}))
+        assert main(["verify-group", "-g", str(bad_char), "-p", "2"]) == 2
+        assert f"char = {char} is not prime" in capsys.readouterr().err
 
 
 def test_paper_exotic_error_verdict_exits_2(monkeypatch, capsys):
@@ -210,3 +217,25 @@ def test_paper_exotic_error_verdict_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(fuschar.exotic, "table_3492", singular)
     assert main(["paper", "--item", "exotic:F_3492"]) == 2
     assert ": error" in capsys.readouterr().out
+
+
+def test_paper_exotic_checks_p_before_building_groups(monkeypatch, capsys):
+    import fuschar.exotic
+
+    built = []
+
+    def record(*args):
+        built.append(args)
+        raise LookupError("stop")
+
+    for name in ("table_3492", "overgroup_context", "chain_certificates", "build_exotic_fusion"):
+        monkeypatch.setattr(fuschar.exotic, name, record)
+    assert main(["paper", "--item", "exotic:F_3492", "--p", "5"]) == 2
+    assert main(["paper", "--item", "exotic:F547_chain:psu", "--p", "3"]) == 2
+    assert "specific to p = 5" in capsys.readouterr().err
+    assert built == []
+    # without --p the chains run at p = 5 and the other systems at p = 3
+    for item in ("exotic:F547_chain:g", "exotic:F1"):
+        with pytest.raises(LookupError):
+            main(["paper", "--item", item])
+    assert built == [(5, "N_b"), ("F1", 3)]

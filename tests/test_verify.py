@@ -1,3 +1,5 @@
+import pytest
+
 from fuschar.chartable import dixon_character_table
 from fuschar.cyclotomic import Cyclotomic
 from fuschar.exotic import (
@@ -10,14 +12,18 @@ from fuschar.exotic import (
     overgroup_context,
     table_3492,
 )
-from fuschar.fusion import apply_merges, full_merge, fusion_of_self
-from fuschar.groups import cyclic_group, standard_group
-from fuschar.stable import stable_character_basis
+from fuschar.fusion import apply_merges, full_merge, fusion_from_group, fusion_of_self
+from fuschar.groups import cyclic_group, standard_group, sylow_subgroup
+from fuschar.intlinalg import mat_mul, transpose
+from fuschar.stable import StableLattice, stable_character_basis, stable_kernel_basis
 from fuschar.verify import (
+    _x_matrix,
     builtin_corpus,
     character_table_matrix,
     check_induction_certificate,
+    gram_determinant,
     gram_matrix,
+    lattice_determinant,
     run_group_corpus,
     verify_conjecture,
     verify_group_case,
@@ -93,9 +99,9 @@ def test_group_case_reports():
     # normal Sylow instance
     rep = verify_group_case(standard_group("S3"), 3, "S3")
     assert rep.verdict == "verified"
-    # G = S: diagonal Gram
+    # G = S: the stable lattice is all of Z Irr(S), of discriminant 1
     rep = verify_group_case(standard_group("C16"), 2, "C16")
-    assert rep.verdict == "verified" and rep.checks["gram_diagonal"]
+    assert rep.verdict == "verified" and rep.checks["lattice_discriminant"] == "1"
     # p not dividing |G|
     rep = verify_group_case(standard_group("S3"), 5, "S3")
     assert rep.verdict == "verified" and rep.k == 1
@@ -200,3 +206,81 @@ def test_builtin_corpus_and_prime_expansion():
     summary = run_group_corpus([("C6", 0), ("S3", 3)])
     assert [r.label for r in summary["reports"]] == ["C6@p=2", "C6@p=3", "S3@p=3"]
     assert summary["verified"] == 3
+
+
+def _fusions_for_the_integer_determinant():
+    s4, sl23 = standard_group("S4"), standard_group("SL2_3")
+    c8 = cyclic_group(8)
+    a = c8.designated["a"]
+    yield fusion_from_group(s4, sylow_subgroup(s4, 2), 2)
+    yield fusion_from_group(sl23, sylow_subgroup(sl23, 2), 2)
+    yield apply_merges(fusion_of_self(c8, 2), [(a * a, a ** 6)])  # example 27
+    for name, p in (("D16", 2), ("ES3", 3)):
+        base = fusion_of_self(standard_group(name), p)
+        x, y = [fc.rep for fc in base.classes if fc.rep_order == p][:2]
+        yield apply_merges(base, [(x, y)])
+
+
+def test_lattice_determinant_matches_the_cyclotomic_gram():
+    for fusion in _fusions_for_the_integer_determinant():
+        tab = dixon_character_table(fusion.S)
+        lattice = stable_character_basis(tab, fusion)
+        b = lattice.basis
+        det, disc = lattice_determinant(mat_mul(b, transpose(b)), fusion.S.order,
+                                        [fc.size for fc in fusion.classes])
+        assert det == gram_determinant(character_table_matrix(lattice, fusion))[0] > 0
+        rep = verify_conjecture(fusion, tab)
+        assert (rep.lhs_det, rep.checks["lattice_discriminant"]) == (det, str(disc))
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        lattice_determinant([[1]], 2, [3])
+
+
+def test_table_and_certificate_determinants_match_the_cyclotomic_gram():
+    tf = table_3492()
+    groups = []
+    for grp in tf.merged_partition():
+        anchor = max(grp, key=lambda j: (tf.centralizer_orders[j], -j))
+        groups.append([anchor] + [j for j in grp if j != anchor])
+    k = stable_kernel_basis(tf.basis_values, groups, 9)
+    oracle, _ = gram_determinant(_x_matrix(k, tf.basis_values, [g[0] for g in groups]))
+    assert verify_table_fusion(tf).lhs_det == oracle == 3 ** 25
+    for certf, which in ((certificate_f1, "N_gamma"), (certificate_g, "N_b"),
+                         (certificate_op_f1, "N_gamma2")):
+        irr_s = overgroup_context(3, which).irr_s
+        cert = certf(3)
+        rep = check_induction_certificate(cert, irr_s)
+        for rows, fusion, det in ((cert.b_n, cert.base, rep.det_base),
+                                  (cert.b_f, cert.target, rep.det_target)):
+            lattice = StableLattice(fusion, irr_s, rows, len(rows))
+            assert det == gram_determinant(character_table_matrix(lattice, fusion))[0]
+
+
+def test_verdicts_need_no_cyclotomic_gram(monkeypatch):
+    import fuschar.verify
+
+    def refuse(*args):
+        raise RuntimeError("the cyclotomic Gram is only a test oracle")
+
+    monkeypatch.setattr(fuschar.verify, "gram_matrix", refuse)
+    monkeypatch.setattr(fuschar.verify, "gram_determinant", refuse)
+    c8 = cyclic_group(8)
+    a = c8.designated["a"]
+    merged = apply_merges(fusion_of_self(c8, 2), [(a * a, a ** 6)])
+    assert verify_conjecture(merged, dixon_character_table(c8)).verdict == "counterexample"
+    assert verify_group_case(standard_group("S4"), 2).verdict == "verified"
+    assert verify_table_fusion(table_3492()).verdict == "verified"
+    cert_rep = check_induction_certificate(certificate_f1(3), overgroup_context(3, "N_gamma").irr_s)
+    assert cert_rep.ok and cert_rep.det_base == 9 * cert_rep.det_target
+
+
+def test_table_mode_failures_are_error_verdicts():
+    tf = table_3492()
+    tf.basis_values[0] = [Cyclotomic.one()] + [Cyclotomic.zero()] * 9
+    rep = verify_table_fusion(tf)
+    assert rep.verdict == "error"
+    assert "not virtual characters" in rep.checks["error"]
+    # merging g2 with g3 leaves a stable lattice of too small a rank
+    tf = table_3492()
+    tf.merge_groups = [[1, 2]]
+    rep = verify_table_fusion(tf)
+    assert rep.verdict == "error" and "rank 8 != class count 9" in rep.checks["error"]
