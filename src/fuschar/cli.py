@@ -126,8 +126,9 @@ def _cmd_paper(args) -> int:
     if item in ("table1", "table2", "table4") and (args.p or 0) >= 7 and not args.large:
         raise SpecError("p >= 7 overgroup tables are gated behind --large")
     if item == "example27":
-        from .reftables import reproduce_example27
+        from .reftables import check_fixed_prime, reproduce_example27
 
+        check_fixed_prime(item, args.p)
         report, verdict = reproduce_example27()
         if not report.ok:
             print(f"{report.label}: reproduction BROKEN: {report.discrepancies}",

@@ -94,7 +94,7 @@ def is_translation(x: FpMat) -> bool:
 GAMMA_VARIANTS = ("gamma", "gamma2", "gamma4star")
 
 
-def _gl2_generators(p: int, lam: int) -> list[tuple[int, int, int, int]]:
+def _gl2_generators(lam: int) -> list[tuple[int, int, int, int]]:
     return [(lam, 0, 0, 1), (1, 1, 0, 1), (0, 1, 1, 0)]
 
 
@@ -113,7 +113,7 @@ def gamma_group(p: int, variant: str) -> FiniteGroup:
         raise ValueError("the twisted index-4 subgroup needs p = 1 (mod 4)")
     e = {"gamma": 1, "gamma2": 2, "gamma4star": 4}[variant]
     gens = []
-    for a, b, c, d in _gl2_generators(p, lam):
+    for a, b, c, d in _gl2_generators(lam):
         det = _det2(a, b, c, d, p)
         scale = pow(det, -1, p)
         if variant == "gamma4star" and not is_square_mod(det, p):

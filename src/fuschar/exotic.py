@@ -8,13 +8,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chartable import CharacterTable, dixon_character_table, restrict_table
+from .chartable import CharacterTable, dixon_character_table
 from .constructions import build_group, is_translation, sylow_inside
 from .cyclotomic import Cyclotomic
 from .fusion import FusionData, TableFusion, apply_merges, fusion_from_group
 from .groups import FiniteGroup, conjugacy_classes
-from .stable import irr_coordinates
-from .verify import InductionCertificate
+from .stable import restriction_coordinates
+from .verify import InductionCertificate, _x_matrix
 
 
 @dataclass
@@ -53,22 +53,16 @@ def overgroup_context(p: int, which: str) -> OvergroupContext:
     base = fusion_from_group(n, s, p)
     irr_s = dixon_character_table(s)
     irr_n = dixon_character_table(n)
-    restricted, _ = restrict_table(irr_n, s)
+    restricted, coords = restriction_coordinates(irr_n, s, irr_s)
     sc = conjugacy_classes(s)
     anchor_cols = [sc.class_index_of(s, fc.rep) for fc in base.classes]
     groups: dict[tuple, list] = {}
-    for chi in restricted:
-        key = tuple(chi.values[j].key() for j in anchor_cols)
-        groups.setdefault(key, []).append(chi)
-    rows = []
-    for chis in groups.values():
-        chi = chis[0]
-        rows.append(RestrictionRow(
-            coords=tuple(irr_coordinates(chi, irr_s)),
-            degree=chi.degree_int(),
-            values=tuple(chi.values[j] for j in anchor_cols),
-            n_preimages=len(chis),
-        ))
+    for chi, row in zip(restricted, coords):
+        groups.setdefault(tuple(row), []).append(chi)
+    rows = [RestrictionRow(coords=key, degree=chis[0].degree_int(),
+                           values=tuple(chis[0].values[j] for j in anchor_cols),
+                           n_preimages=len(chis))
+            for key, chis in groups.items()]
     rows.sort(key=lambda r: (r.degree, tuple(v.embedded(irr_s.conductor).coeffs
                                              for v in r.values)))
     u_cls = [i for i, fc in enumerate(base.classes) if not is_translation(fc.rep)]
@@ -150,9 +144,8 @@ def build_exotic_fusion(name: str, p: int) -> tuple[FusionData, OvergroupContext
 # -- induction certificates -----------------------------------------------------
 
 
-def _combo(rows: list[RestrictionRow], terms: list[tuple[int, RestrictionRow]]) -> list[int]:
-    k = len(rows[0].coords)
-    out = [0] * k
+def _combo(terms: list[tuple[int, RestrictionRow]]) -> list[int]:
+    out = [0] * len(terms[0][1].coords)
     for mult, row in terms:
         for j, c in enumerate(row.coords):
             out[j] += mult * c
@@ -177,11 +170,11 @@ def certificate_f1(p: int) -> InductionCertificate:
                           at={v1c: p * (p - 1) // 2})
     b_n = [one, theta, chi_x2, chi_x2_rho, chi_quad, chi_sep]
     b_f = [
-        _combo(b_n, [(1, one)]),
-        _combo(b_n, [(1, chi_x2_rho)]),
-        _combo(b_n, [(1, chi_sep), (1, chi_quad)]),
-        _combo(b_n, [(1, theta), (1, chi_x2)]),
-        _combo(b_n, [((p - 1) // 2, chi_x2), (1, chi_sep)]),
+        _combo([(1, one)]),
+        _combo([(1, chi_x2_rho)]),
+        _combo([(1, chi_sep), (1, chi_quad)]),
+        _combo([(1, theta), (1, chi_x2)]),
+        _combo([((p - 1) // 2, chi_x2), (1, chi_sep)]),
     ]
     target = apply_merges(ctx.base, [(z, u)])
     return InductionCertificate(
@@ -198,24 +191,6 @@ def corrupted_certificate_f1(p: int) -> InductionCertificate:
                                 cert.b_n, cert.b_f, 0, cert.z, cert.u)
 
 
-def _auto_b_f(ctx_irr_s, b_n_rows: list[list[int]], eta_idx: int,
-              u_anchor: int, z_anchor: int) -> list[list[int]]:
-    """Candidate target basis chi + m*eta, with m clearing the (u, z) gap."""
-    cfs = [ctx_irr_s.combination(row) for row in b_n_rows]
-    eta_cf = cfs[eta_idx]
-    eta_diff = (eta_cf.values[u_anchor] - eta_cf.values[z_anchor]).rational_value()
-    out = []
-    for i, row in enumerate(b_n_rows):
-        if i == eta_idx:
-            continue
-        diff = (cfs[i].values[u_anchor] - cfs[i].values[z_anchor]).rational_value()
-        m, r = divmod(-diff, eta_diff)
-        if r:
-            raise ArithmeticError("basis value difference not divisible by +-p")
-        out.append([a + m * b for a, b in zip(row, b_n_rows[eta_idx])])
-    return out
-
-
 def auto_step_certificate(ctx: OvergroupContext, base_fusion: FusionData,
                           b_n_rows: list[list[int]], z, u_new,
                           label: str, eta_idx: int | None = None
@@ -225,22 +200,28 @@ def auto_step_certificate(ctx: OvergroupContext, base_fusion: FusionData,
     p = ctx.p
     target = apply_merges(base_fusion, [(z, u_new)])
     sc = conjugacy_classes(ctx.S)
-    u_anchor = sc.class_index_of(ctx.S, u_new)
-    z_anchor = sc.class_index_of(ctx.S, z)
+    cols = [sc.class_index_of(ctx.S, u_new), sc.class_index_of(ctx.S, z)]
+    # each row's values at u_new and z, and their gap
+    values = _x_matrix(b_n_rows, [chi.values for chi in ctx.irr_s.chars], cols)
+    gaps = [at_u - at_z for at_u, at_z in values]
     if eta_idx is None:
         candidates = []
-        for i, row in enumerate(b_n_rows):
-            cf = ctx.irr_s.combination(row)
-            d = cf.values[u_anchor] - cf.values[z_anchor]
+        for i, ((val, _), d) in enumerate(zip(values, gaps)):
             if d.is_rational_integer() and abs(d.rational_value()) == p:
-                val = cf.values[u_anchor]
                 rank = val.rational_value() if val.is_rational_integer() else -(10 ** 9)
                 candidates.append((-rank, i))
         if not candidates:
             raise LookupError(f"{label}: no eta with value gap +-{p}")
-        candidates.sort()
-        eta_idx = candidates[0][1]
-    b_f = _auto_b_f(ctx.irr_s, b_n_rows, eta_idx, u_anchor, z_anchor)
+        eta_idx = min(candidates)[1]
+    # the candidate basis chi + m*eta, with m clearing the (u, z) gap
+    eta_gap = gaps[eta_idx].rational_value()
+    b_f = []
+    for i, row in enumerate(b_n_rows):
+        if i != eta_idx:
+            m, r = divmod(-gaps[i].rational_value(), eta_gap)
+            if r:
+                raise ArithmeticError("basis value difference not divisible by +-p")
+            b_f.append([a + m * b for a, b in zip(row, b_n_rows[eta_idx])])
     cert = InductionCertificate(label, base_fusion, target, b_n_rows, b_f,
                                 eta_idx, z, u_new)
     return cert, b_f
@@ -263,12 +244,12 @@ def certificate_g(p: int) -> InductionCertificate:
     b_n = [lin] + chi_ij + chi_01 + chi_ijk + chi_0s0
     eta_row = chi_ijk[0]  # a degree p(p-1) induced character
     chi2 = chi_ij[0]
-    b_f = [_combo(b_n, [(1, lin)])]
-    b_f += [_combo(b_n, [(1, r), (1, eta_row)]) for r in chi_ij if r is not chi2]
-    b_f += [_combo(b_n, [(1, r), (1, chi2)]) for r in chi_ijk if r is not eta_row]
-    b_f.append(_combo(b_n, [(1, eta_row), (1, chi2)]))
-    b_f += [_combo(b_n, [(1, r)]) for r in chi_01]
-    b_f += [_combo(b_n, [(1, r), ((p - 1) // 2, eta_row)]) for r in chi_0s0]
+    b_f = [_combo([(1, lin)])]
+    b_f += [_combo([(1, r), (1, eta_row)]) for r in chi_ij if r is not chi2]
+    b_f += [_combo([(1, r), (1, chi2)]) for r in chi_ijk if r is not eta_row]
+    b_f.append(_combo([(1, eta_row), (1, chi2)]))
+    b_f += [_combo([(1, r)]) for r in chi_01]
+    b_f += [_combo([(1, r), ((p - 1) // 2, eta_row)]) for r in chi_0s0]
     target = apply_merges(ctx.base, [(z, u)])
     return InductionCertificate(
         label=f"G_prune@p={p}", base=ctx.base, target=target,
@@ -365,11 +346,11 @@ def _psu_first_certificate(ctx: OvergroupContext) -> InductionCertificate:
     # checks every hypothesis of the resulting basis.
     pairs = list(zip(sigmas, sigmas_pr))
     b_n = [one, theta, chi0] + chi_rest + sigmas + sigmas_pr
-    b_f = [_combo(b_n, [(1, one)])]
-    b_f += [_combo(b_n, [(1, s), (1, sp)]) for s, sp in pairs]
-    b_f += [_combo(b_n, [(1, r)]) for r in chi_rest]
-    b_f.append(_combo(b_n, [(1, chi0), (1, theta)]))
-    b_f += [_combo(b_n, [(1, chi0), (1, s)]) for s, _ in pairs]
+    b_f = [_combo([(1, one)])]
+    b_f += [_combo([(1, s), (1, sp)]) for s, sp in pairs]
+    b_f += [_combo([(1, r)]) for r in chi_rest]
+    b_f.append(_combo([(1, chi0), (1, theta)]))
+    b_f += [_combo([(1, chi0), (1, s)]) for s, _ in pairs]
     target = apply_merges(ctx.base, [(z, u)])
     return InductionCertificate(
         label=f"F({p}^4,7,{CHAIN_LABELS['psu'][0]})", base=ctx.base, target=target,

@@ -307,10 +307,12 @@ def subgroup(G: FiniteGroup, gens: list) -> FiniteGroup:
 
 def sylow_subgroup(G: FiniteGroup, p: int) -> FiniteGroup:
     """A Sylow p-subgroup, grown from a maximal-order p-element by repeated
-    normalizer extensions."""
+    normalizer extensions; a p-group is its own."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     target = p_part(G.order, p)
+    if target == G.order:
+        return G
     if target == 1:
         return enumerate_group([], designated={})
     # seed: a p-element of maximal order

@@ -26,6 +26,7 @@ from .exotic import (
 from .fusion import apply_merges, fusion_of_self
 from .groups import cyclic_group
 from .intlinalg import lattice_index
+from .specio import SpecError
 from .stable import indecomposables_bounded, stable_character_basis
 from .verify import verify_conjecture, verify_table_fusion
 
@@ -451,8 +452,20 @@ def reproduce_example27() -> tuple[MatchReport, object]:
     return report, verdict
 
 
+# the items whose reference data exist at one prime only
+FIXED_PRIME = {"table5": 5, "table6": 3, "example27": 2}
+
+
+def check_fixed_prime(item: str, p: int | None) -> None:
+    """Reject a prime other than the one a p-specific item is stated at."""
+    want = FIXED_PRIME.get(item)
+    if want and p and p != want:
+        raise SpecError(f"{item} is specific to p = {want}")
+
+
 def reproduce(item: str, p: int | None = None) -> MatchReport:
     """Dispatch a named reproduction suite."""
+    check_fixed_prime(item, p)
     if item == "table1":
         return reproduce_table1(p or 5)
     if item == "table2":

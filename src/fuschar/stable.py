@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .chartable import CharacterTable, ClassFunction, inner_product
+from .chartable import CharacterTable, ClassFunction, inner_product, restrict_table
 from .fusion import FusionData
 from .groups import FiniteGroup
 from .intlinalg import (
@@ -81,6 +81,29 @@ def irr_coordinates(chi: ClassFunction, irr_s: CharacterTable) -> list[int]:
     return coords
 
 
+def restriction_coordinates(irr_g: CharacterTable, S: FiniteGroup,
+                            irr_s: CharacterTable) -> tuple[list[ClassFunction], list[list[int]]]:
+    """The restrictions of Irr(G) to S and their Irr(S)-multiplicities.
+
+    exp(S) divides exp(G), so every value embeds in Z[zeta_conductor of G]
+    and its coefficient vector there is a key.  A restriction equal to an
+    irreducible of S (always the case for abelian groups) is read off; each
+    other distinct restriction is decomposed by inner products once.
+    """
+    e = irr_g.conductor
+    restricted, _ = restrict_table(irr_g, S)
+    known = {tuple(v.embedded(e).coeffs for v in psi.values):
+             [1 if i == j else 0 for i in range(irr_s.k)]
+             for j, psi in enumerate(irr_s.chars)}
+    coords = []
+    for chi in restricted:
+        key = tuple(v.embedded(e).coeffs for v in chi.values)
+        if key not in known:
+            known[key] = irr_coordinates(chi, irr_s)
+        coords.append(known[key])
+    return restricted, coords
+
+
 @dataclass
 class DecompositionData:
     d_matrix: list[list[int]]  # rows Irr(G), columns the stable basis
@@ -96,24 +119,12 @@ def decomposition_matrix(irr_g: CharacterTable, S: FiniteGroup,
     A restriction outside the lattice is legal only when S is not Sylow in
     G; such rows are reported, not fatal.
     """
-    from .chartable import restrict_table
-
-    restricted, _ = restrict_table(irr_g, S)
-    # restrictions equal to a single irreducible (always the case for abelian
-    # groups) resolve by exact lookup instead of inner products
-    irr_index = {tuple(v.key() for v in psi.values): j
-                 for j, psi in enumerate(lattice.irr_s.chars)}
-    k_s = lattice.irr_s.k
+    _, coords = restriction_coordinates(irr_g, S, lattice.irr_s)
     solve = hnf(lattice.basis).solve
     rows = []
     outside = []
-    for i, chi in enumerate(restricted):
-        hit = irr_index.get(tuple(v.key() for v in chi.values))
-        if hit is not None:
-            coords = [1 if j == hit else 0 for j in range(k_s)]
-        else:
-            coords = irr_coordinates(chi, lattice.irr_s)
-        sol = solve(coords)
+    for i, row in enumerate(coords):
+        sol = solve(row)
         if sol is None:
             outside.append(i)
         else:

@@ -188,8 +188,7 @@ def verify_group_case(G: FiniteGroup, p: int, label: str = "") -> VerificationRe
     report, lattice = _verify(fusion, irr_s, label)
     if report.verdict == "error":
         return report
-    x = character_table_matrix(lattice, fusion)
-    irr_g = dixon_character_table(G)
+    irr_g = irr_s if S is G else dixon_character_table(G)
     dec = decomposition_matrix(irr_g, S, lattice)
     det_c = dec.det_c
     report.checks["det_C"] = str(det_c)
@@ -198,7 +197,7 @@ def verify_group_case(G: FiniteGroup, p: int, label: str = "") -> VerificationRe
     g_cols = [gc.class_index_of(G, fc.rep) for fc in fusion.classes]
     prod_cg = prod(gc.classes[j].centralizer_order for j in g_cols)
     report.checks["eq_3_2"] = (report.lhs_det * det_c == prod_cg)
-    report.checks["restriction_identity"] = _check_dx_identity(dec, x, irr_g, g_cols)
+    report.checks["restriction_identity"] = _check_dx_identity(dec, lattice, irr_g, g_cols)
     if report.checks["gcd_det_C_p"] != 1 or not report.checks["eq_3_2"] \
             or not report.checks["restriction_identity"]:
         report.verdict = "error"
@@ -206,12 +205,18 @@ def verify_group_case(G: FiniteGroup, p: int, label: str = "") -> VerificationRe
     return report
 
 
-def _check_dx_identity(dec, x: list[list[Cyclotomic]], irr_g: CharacterTable,
+def _check_dx_identity(dec, lattice: StableLattice, irr_g: CharacterTable,
                        g_cols: list[int]) -> bool:
     """(D X)[chi][s] must equal chi(s) for every restricted irreducible; g_cols
-    are the G-classes of the fusion representatives."""
+    are the G-classes of the fusion representatives.  X = B Psi, so D X is
+    evaluated as (D B) Psi: the integer product first, then the values of
+    Irr(S) at the representatives' S-classes."""
     restricted = [chi for i, chi in enumerate(irr_g.chars) if i not in dec.outside_rows]
-    dx = _x_matrix(dec.d_matrix, x, range(len(g_cols)))
+    fusion = lattice.fusion
+    sc = conjugacy_classes(fusion.S)
+    dx = _x_matrix(mat_mul(dec.d_matrix, lattice.basis),
+                   [psi.values for psi in lattice.irr_s.chars],
+                   [sc.class_index_of(fusion.S, fc.rep) for fc in fusion.classes])
     return all(dx_row[col] == chi.values[gcls]
                for dx_row, chi in zip(dx, restricted)
                for col, gcls in enumerate(g_cols))
@@ -299,26 +304,18 @@ def check_induction_certificate(cert: InductionCertificate,
                                   != cert.base.class_of_element(cert.z))
     hyp["pair_target_fused"] = (cert.target.class_of_element(cert.u)
                                 == cert.target.class_of_element(cert.z))
-    z_cls = sc.classes[sc.class_index_of(S, cert.z)]
-    u_cls = sc.classes[sc.class_index_of(S, cert.u)]
-    hyp["z_central"] = z_cls.centralizer_order == S.order
-    hyp["u_centralizer_p2"] = u_cls.centralizer_order == p * p
-
-    eta_cf = irr_s.combination(cert.b_n[cert.eta])
     z_idx = sc.class_index_of(S, cert.z)
     u_idx = sc.class_index_of(S, cert.u)
+    hyp["z_central"] = sc.classes[z_idx].centralizer_order == S.order
+    hyp["u_centralizer_p2"] = sc.classes[u_idx].centralizer_order == p * p
+
+    eta_cf = irr_s.combination(cert.b_n[cert.eta])
     diff = eta_cf.values[u_idx] - eta_cf.values[z_idx]
     hyp["eta_difference_pm_p"] = diff == p or diff == -p
 
-    coeffs = []
-    solvable = True
     solve = hnf(cert.b_n).solve
-    for row in cert.b_f:
-        sol = solve(row)
-        if sol is None:
-            solvable = False
-            break
-        coeffs.append(sol)
+    coeffs = [solve(row) for row in cert.b_f]
+    solvable = None not in coeffs
     hyp["b_f_over_b_n"] = solvable
     if solvable:
         hyp["bijection_multiplicity_one"] = _has_unit_matching(coeffs, cert.eta)
@@ -329,8 +326,11 @@ def check_induction_certificate(cert: InductionCertificate,
         hyp["transform_unimodular"] = False
 
     hyp["b_f_independent"] = hnf(cert.b_f).rank == len(cert.b_f) == cert.target.k
-    hyp["b_f_stable"] = all(_constant_on_classes(irr_s.combination(row), cert.target, sc)
-                            for row in cert.b_f)
+    # the target lattice is the whole integral kernel of the constancy
+    # constraints, so a row is constant on the target classes iff it lies in it
+    target_lattice = stable_character_basis(irr_s, cert.target)
+    solve_target = hnf(target_lattice.basis).solve
+    hyp["b_f_stable"] = all(solve_target(row) is not None for row in cert.b_f)
 
     # Ch(S)^F + <eta> must be a direct, finite-index sum inside Ch(S)^N.
     # The printed hypothesis asks for strict containment, but whenever the
@@ -338,7 +338,6 @@ def check_induction_certificate(cert: InductionCertificate,
     # |X(sum)| = p * |X_F| = |X_N|, so the sum always has index 1; the
     # meaningful checks are containment and directness, and the measured
     # index is recorded for the report.
-    target_lattice = stable_character_basis(irr_s, cert.target)
     stacked = [list(r) for r in target_lattice.basis] + [list(cert.b_n[cert.eta])]
     try:
         idx = lattice_index(base_lattice.basis, stacked)
@@ -360,14 +359,6 @@ def check_induction_certificate(cert: InductionCertificate,
         hyp["b_f_basis_of_target"] = False
     return CertificateReport(cert.label, hyp, all(hyp.values()), det_base,
                              det_target, containment_index)
-
-
-def _constant_on_classes(cf, fusion: FusionData, sc) -> bool:
-    for fc in fusion.classes:
-        vals = {cf.values[i].key() for i in fc.s_class_indices}
-        if len(vals) > 1:
-            return False
-    return True
 
 
 def _spans_same_lattice(a: list[list[int]], b: list[list[int]]) -> bool:

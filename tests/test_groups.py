@@ -83,6 +83,12 @@ def test_sylow_subgroups():
     assert sylow_subgroup(cyclic_group(5), 3).order == 1
 
 
+def test_a_p_group_is_its_own_sylow_subgroup():
+    for g, p in ((cyclic_group(8), 2), (standard_group("D16"), 2),
+                 (standard_group("ES3"), 3), (cyclic_group(1), 5)):
+        assert sylow_subgroup(g, p) is g
+
+
 def test_sylow_of_gamma_overgroup_contains_v():
     n = build_group(3, "N_gamma")
     s = sylow_subgroup(n, 3)

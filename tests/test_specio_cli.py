@@ -239,3 +239,29 @@ def test_paper_exotic_checks_p_before_building_groups(monkeypatch, capsys):
         with pytest.raises(LookupError):
             main(["paper", "--item", item])
     assert built == [(5, "N_b"), ("F1", 3)]
+
+
+def test_paper_p_specific_items_reject_other_primes(monkeypatch, capsys):
+    import fuschar.reftables
+    from fuschar.reftables import reproduce
+
+    built = []
+
+    def record(*args):
+        built.append(args)
+        raise LookupError("stop")
+
+    for name in ("reproduce_table5", "reproduce_table6", "reproduce_example27"):
+        monkeypatch.setattr(fuschar.reftables, name, record)
+    for item, wrong in (("table5", 3), ("table6", 5), ("example27", 3)):
+        assert main(["paper", "--item", item, "--p", str(wrong)]) == 2
+        assert "specific to p = " in capsys.readouterr().err
+        with pytest.raises(SpecError, match="specific to p = "):
+            reproduce(item, wrong)
+    assert built == []
+    # the item's own prime, or none, runs the suite
+    for argv in (["--item", "table5", "--p", "5"], ["--item", "table6", "--p", "3"],
+                 ["--item", "example27", "--p", "2"], ["--item", "table6"]):
+        with pytest.raises(LookupError):
+            main(["paper"] + argv)
+    assert len(built) == 4

@@ -284,3 +284,58 @@ def test_table_mode_failures_are_error_verdicts():
     tf.merge_groups = [[1, 2]]
     rep = verify_table_fusion(tf)
     assert rep.verdict == "error" and "rank 8 != class count 9" in rep.checks["error"]
+
+
+def test_restrictions_and_stability_need_no_canonical_key(monkeypatch):
+    def refuse(self):
+        raise RuntimeError("verdict paths key values by their embedded coefficients")
+
+    monkeypatch.setattr(Cyclotomic, "key", refuse)
+    monkeypatch.setattr(Cyclotomic, "minimized", refuse)
+    for name, p in (("S4", 2), ("GL2_3", 3), ("C64", 2), ("D16", 2)):
+        rep = verify_group_case(standard_group(name), p)
+        assert rep.verdict == "verified" and rep.checks["restriction_identity"] is True
+    c8 = cyclic_group(8)
+    a = c8.designated["a"]
+    merged = apply_merges(fusion_of_self(c8, 2), [(a * a, a ** 6)])
+    assert verify_conjecture(merged, dixon_character_table(c8)).verdict == "counterexample"
+    contexts = {which: overgroup_context.__wrapped__(3, which)
+                for which in ("N_gamma", "N_b", "N_gamma2")}
+    for which, ctx in contexts.items():
+        cached = overgroup_context(3, which)
+        assert [(r.coords, r.degree, r.n_preimages) for r in ctx.rows] == \
+            [(r.coords, r.degree, r.n_preimages) for r in cached.rows]
+    for certf, which in ((certificate_f1, "N_gamma"), (certificate_g, "N_b"),
+                         (certificate_op_f1, "N_gamma2")):
+        assert check_induction_certificate(certf(3), contexts[which].irr_s).ok
+    rep = check_induction_certificate(corrupted_certificate_f1(3), contexts["N_gamma"].irr_s)
+    assert sorted(rep.failures()) == [
+        "b_f_basis_of_target", "bijection_multiplicity_one", "determinant_relation",
+        "eta_difference_pm_p", "eta_sum_direct_in_base", "transform_unimodular"]
+
+
+def test_restriction_identity_catches_a_wrong_decomposition_entry(monkeypatch):
+    import fuschar.verify
+    from fuschar.stable import decomposition_matrix
+
+    def off_by_one(*args):
+        dec = decomposition_matrix(*args)
+        dec.d_matrix[-1][0] += 1
+        return dec
+
+    monkeypatch.setattr(fuschar.verify, "decomposition_matrix", off_by_one)
+    for name, p in (("S4", 2), ("D16", 2)):
+        rep = verify_group_case(standard_group(name), p)
+        assert rep.checks["restriction_identity"] is False and rep.verdict == "error"
+
+
+def test_b_f_stable_fails_when_a_row_breaks_constancy():
+    irr_s = overgroup_context(3, "N_gamma").irr_s
+    cert = certificate_f1(3)
+    # an irreducible of S that takes two values on one target fusion class
+    j = next(j for j, psi in enumerate(irr_s.chars)
+             if any(psi.values[a] != psi.values[b]
+                    for fc in cert.target.classes
+                    for a in fc.s_class_indices for b in fc.s_class_indices))
+    cert.b_f[1][j] += 1
+    assert "b_f_stable" in check_induction_certificate(cert, irr_s).failures()
