@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .cyclotomic import Cyclotomic, cyclo_sum, exact_div
+from .cyclotomic import Cyclotomic, cyclo_dot, exact_div
 from .groups import ConjugacyClassSet, FiniteGroup, class_fusion_map, conjugacy_classes
 from .intlinalg import is_prime, primitive_root, rref_mod
 
@@ -30,12 +30,6 @@ class ClassFunction:
     def degree_int(self) -> int:
         return self.values[0].rational_value()
 
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        return ClassFunction(tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        return ClassFunction(tuple(a - b for a, b in zip(self.values, other.values)))
-
 
 @dataclass
 class CharacterTable:
@@ -52,20 +46,14 @@ class CharacterTable:
         return [c.degree_int() for c in self.chars]
 
     def combination(self, coeffs) -> ClassFunction:
-        out = [Cyclotomic.zero()] * self.k
-        for a, chi in zip(coeffs, self.chars):
-            if a:
-                for t, v in enumerate(chi.values):
-                    out[t] = out[t] + v * a
-        return ClassFunction(tuple(out))
+        return ClassFunction(tuple(cyclo_dot(coeffs, column)
+                                   for column in zip(*(chi.values for chi in self.chars))))
 
 
 def inner_product(f: ClassFunction, g: ClassFunction,
                   classes: ConjugacyClassSet, group_order: int) -> Cyclotomic:
     """(1/|G|) sum over G of f * conj(g), computed classwise and exactly."""
-    total = cyclo_sum(fv * gv.conjugate() * c.size
-                      for c, fv, gv in zip(classes.classes, f.values, g.values)
-                      if not (fv.is_zero() or gv.is_zero()))
+    total = cyclo_dot([c.size for c in classes.classes], f.values, g.values)
     return exact_div(total, Cyclotomic.integer(group_order))
 
 
@@ -370,12 +358,10 @@ def induce_class_function(theta: ClassFunction, H: FiniteGroup,
     fusion = class_fusion_map(G, H)
     h_classes = conjugacy_classes(H)
     g_classes = conjugacy_classes(G)
-    sums = [Cyclotomic.zero() for _ in g_classes.classes]
-    for idx, c in enumerate(h_classes.classes):
-        j = fusion[idx]
-        sums[j] = sums[j] + theta.values[idx] * c.size
     values = []
     for j, c in enumerate(g_classes.classes):
-        total = sums[j] * c.centralizer_order
+        members = [i for i, f in enumerate(fusion) if f == j]
+        total = cyclo_dot([h_classes.classes[i].size * c.centralizer_order for i in members],
+                          [theta.values[i] for i in members])
         values.append(exact_div(total, Cyclotomic.integer(H.order)))
     return ClassFunction(tuple(values))

@@ -2,7 +2,7 @@
 
 Subcommands: verify-group, verify-fusion, char-table, paper, corpus.
 Exit codes: 0 all verified/matched, 1 counterexample or mismatch found,
-2 usage or arithmetic error.
+2 usage, arithmetic or internal error.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .chartable import dixon_character_table
 from .groups import enumerate_group
@@ -234,6 +235,10 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except (ArithmeticError, AssertionError, ValueError) as exc:
         print(f"arithmetic/usage error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # a crash is not a counterexample
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return EXIT_ERROR
 
 

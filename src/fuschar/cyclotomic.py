@@ -191,19 +191,12 @@ class Cyclotomic:
         if a is NotImplemented:
             return NotImplemented
         e = a.order
-        terms_a = [(i, c) for i, c in enumerate(a.coeffs) if c]
         terms_b = [(j, c) for j, c in enumerate(b.coeffs) if c]
-        if not terms_a or not terms_b:
-            return Cyclotomic._make(e, (0,) * e)
-        if len(terms_a) == 1 and len(terms_b) == 1:
-            i, ai = terms_a[0]
-            j, bj = terms_b[0]
-            c = ai * bj
-            return Cyclotomic._make(e, tuple([c * m for m in _monomial(e, i + j)]))
         out = [0] * e
-        for i, ai in terms_a:
-            for j, bj in terms_b:
-                out[(i + j) % e] += ai * bj
+        for i, ai in enumerate(a.coeffs):
+            if ai:
+                for j, bj in terms_b:
+                    out[(i + j) % e] += ai * bj
         return Cyclotomic(e, out)
 
     __rmul__ = __mul__
@@ -302,18 +295,6 @@ class Cyclotomic:
 
 
 @lru_cache(maxsize=None)
-def _monomial(e: int, k: int) -> tuple[int, ...]:
-    """Canonical coefficient vector of zeta_e^k."""
-    vec = [0] * e
-    vec[k % e] = 1
-    deg = _phi_degree(e)
-    if k % e >= deg:
-        vec = _poly_divmod_monic(vec, cyclotomic_polynomial(e))
-        vec += [0] * (e - len(vec))
-    return tuple(vec)
-
-
-@lru_cache(maxsize=None)
 def _descent_solver(e: int, d: int):
     """A function mapping canonical order-e coefficients to order-d ones.
 
@@ -364,8 +345,34 @@ def exact_div(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
     return Cyclotomic(e, out)
 
 
-def cyclo_sum(values) -> Cyclotomic:
-    total = Cyclotomic.zero()
-    for v in values:
-        total = total + v
-    return total
+def cyclo_dot(weights, xs, ys=None) -> Cyclotomic:
+    """sum_i w_i * x_i * conj(y_i) for integer weights, or sum_i w_i * x_i
+    when ys is None.
+
+    Terms with a zero weight or value are skipped, and e is the lcm of the
+    orders of the rest.  Every product is accumulated unreduced modulo
+    x^e - 1: zeta_o^i is index i * (e / o) and its conjugate index
+    -i * (e / o) mod e.  The sum is reduced modulo Phi_e once, at the end.
+    """
+    if ys is None:
+        terms = [(w, x, None) for w, x in zip(weights, xs) if w and any(x.coeffs)]
+        e = lcm(1, *(x.order for _, x, _ in terms))
+    else:
+        terms = [(w, x, y) for w, x, y in zip(weights, xs, ys)
+                 if w and any(x.coeffs) and any(y.coeffs)]
+        e = lcm(1, *(x.order for _, x, _ in terms), *(y.order for _, _, y in terms))
+    acc = [0] * e
+    for w, x, y in terms:
+        step = e // x.order
+        xt = [(i * step, w * c) for i, c in enumerate(x.coeffs) if c]
+        if y is None:
+            for i, c in xt:
+                acc[i] += c
+            continue
+        step = e // y.order
+        for j, d in enumerate(y.coeffs):
+            if d:
+                shift = e - j * step
+                for i, c in xt:
+                    acc[(i + shift) % e] += c * d
+    return Cyclotomic(e, acc)

@@ -34,7 +34,6 @@ class OvergroupContext:
     N: FiniteGroup
     S: FiniteGroup
     irr_s: CharacterTable
-    irr_n: CharacterTable
     base: FusionData  # fusion of S induced by N
     rows: list[RestrictionRow]
     u_class_indices: list[int]  # base classes off V, designated u's class first
@@ -52,8 +51,7 @@ def overgroup_context(p: int, which: str) -> OvergroupContext:
     s = sylow_inside(p, which)
     base = fusion_from_group(n, s, p)
     irr_s = dixon_character_table(s)
-    irr_n = dixon_character_table(n)
-    restricted, coords = restriction_coordinates(irr_n, s, irr_s)
+    restricted, coords = restriction_coordinates(dixon_character_table(n), s, irr_s)
     sc = conjugacy_classes(s)
     anchor_cols = [sc.class_index_of(s, fc.rep) for fc in base.classes]
     groups: dict[tuple, list] = {}
@@ -68,7 +66,7 @@ def overgroup_context(p: int, which: str) -> OvergroupContext:
     u_cls = [i for i, fc in enumerate(base.classes) if not is_translation(fc.rep)]
     u_main = base.class_of_element(s.designated["u"])
     u_cls.sort(key=lambda i: (i != u_main, i))
-    return OvergroupContext(p, which, n, s, irr_s, irr_n, base, rows, u_cls)
+    return OvergroupContext(p, which, n, s, irr_s, base, rows, u_cls)
 
 
 def _row_value_int(row: RestrictionRow, idx: int) -> int | None:

@@ -14,9 +14,10 @@ from .constructions import (
     gamma_orbit_analysis,
     table3_expected,
 )
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, cyclo_dot
 from .exotic import (
     OvergroupContext,
+    _combo,
     cubic_root_check,
     overgroup_context,
     pick_rows,
@@ -222,15 +223,12 @@ def reproduce_table4(p: int) -> MatchReport:
     ctx = overgroup_context(p, "N_gamma")
     basis = _table2_basis(ctx, _gamma_column_classes(ctx), p)
     merged = apply_merges(ctx.base, [(ctx.z_element(), ctx.S.designated["u"])])
+    sc_v1 = _s_class(ctx, ctx.S.designated["v1"])
+    sc_u = _s_class(ctx, ctx.S.designated["u"])
     rows = []
     for spec in table4_rows(p):
-        coords = [0] * len(next(iter(basis.values())).coords)
-        for name, mult in spec["combo"].items():
-            for j, c in enumerate(basis[name].coords):
-                coords[j] += mult * c
+        coords = _combo([(mult, basis[name]) for name, mult in spec["combo"].items()])
         cf = ctx.irr_s.combination(coords)
-        sc_v1 = _s_class(ctx, ctx.S.designated["v1"])
-        sc_u = _s_class(ctx, ctx.S.designated["u"])
         report.check(f"row{len(rows)}_degree", cf.degree_int() == spec["degree"],
                      f"{cf.degree_int()} vs {spec['degree']}")
         good_vals = (cf.values[sc_v1] == spec["val"] and cf.values[sc_u] == spec["val"])
@@ -255,11 +253,7 @@ def _check_regular_decomposition(report: MatchReport, ctx: OvergroupContext,
     + p*chi(psi010), checked exactly."""
     mults = {"1_S": 1, "theta_{p-1}": 1, "chi(psi100)": 1, "chi(psi100,rho)": 1,
              "chi(psi10e)": p, "chi(psi010)": p}
-    coords = [0] * len(basis["1_S"].coords)
-    for name, mult in mults.items():
-        for j, c in enumerate(basis[name].coords):
-            coords[j] += mult * c
-    cf = ctx.irr_s.combination(coords)
+    cf = ctx.irr_s.combination(_combo([(mult, basis[name]) for name, mult in mults.items()]))
     reg = regular_character(ctx.irr_s.classes, ctx.S.order)
     report.check("regular_character_identity", cf.values == reg.values)
 
@@ -411,10 +405,8 @@ def reproduce_table6() -> MatchReport:
     from .exotic import TABLE_3492_IRR_MULTIPLICITIES as mult
 
     for j in range(10):
-        acc = Cyclotomic.zero()
-        for m, row in zip(mult, tf.basis_values):
-            v = row[j]
-            acc = acc + v * v.conjugate() * m
+        column = [row[j] for row in tf.basis_values]
+        acc = cyclo_dot(mult, column, column)
         cn = 2 * tf.group_order // tf.class_sizes[j]
         report.check(f"column_norm_g{j+1}", acc == cn,
                      f"sum {acc!r}, |C_N| {cn}")

@@ -107,7 +107,6 @@ def restriction_coordinates(irr_g: CharacterTable, S: FiniteGroup,
 @dataclass
 class DecompositionData:
     d_matrix: list[list[int]]  # rows Irr(G), columns the stable basis
-    c_matrix: list[list[int]]
     det_c: int
     outside_rows: list[int]  # Irr(G) rows whose restriction left the lattice
 
@@ -133,7 +132,7 @@ def decomposition_matrix(irr_g: CharacterTable, S: FiniteGroup,
         raise AssertionError("Sylow restriction left the stable lattice")
     c = mat_mul(transpose(rows), rows)
     det_c = det_exact(c) if c else 1
-    return DecompositionData(rows, c, det_c, outside)
+    return DecompositionData(rows, det_c, outside)
 
 
 # -- indecomposable stable characters -----------------------------------------

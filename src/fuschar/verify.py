@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from math import gcd, lcm, prod
 
 from .chartable import CharacterTable, dixon_character_table
-from .cyclotomic import Cyclotomic, cyclo_sum
+from .cyclotomic import Cyclotomic, cyclo_dot
 from .fusion import FusionData, TableFusion, centralizer_product, fusion_from_group
 from .groups import FiniteGroup, conjugacy_classes, standard_group, sylow_subgroup
 from .intlinalg import det_exact, hnf, lattice_index, mat_mul, p_part, prime_divisors, transpose
@@ -59,17 +59,8 @@ class VerificationReport:
 def _x_matrix(coeff_rows, value_rows, cols) -> list[list[Cyclotomic]]:
     """X[i][j] = sum_c coeff_rows[i][c] * value_rows[c][cols[j]], evaluated
     only at the listed columns."""
-    out = []
-    for coeffs in coeff_rows:
-        row = []
-        for j in cols:
-            acc = Cyclotomic.zero()
-            for a, values in zip(coeffs, value_rows):
-                if a:
-                    acc = acc + values[j] * a
-            row.append(acc)
-        out.append(row)
-    return out
+    columns = [[values[j] for values in value_rows] for j in cols]
+    return [[cyclo_dot(coeffs, column) for column in columns] for coeffs in coeff_rows]
 
 
 def character_table_matrix(lattice: StableLattice, fusion: FusionData) -> list[list[Cyclotomic]]:
@@ -87,17 +78,13 @@ def gram_matrix(x: list[list[Cyclotomic]]) -> list[list[Cyclotomic]]:
     """
     n = len(x)
     cols = [[row[j] for row in x] for j in range(n)]
-    conj_cols = [[v.conjugate() for v in col] for col in cols]
+    ones = [1] * n
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            acc = Cyclotomic.zero()
-            for a, b in zip(conj_cols[i], cols[j]):
-                if not (a.is_zero() or b.is_zero()):
-                    acc = acc + a * b
-            out[i][j] = acc
+            out[i][j] = cyclo_dot(ones, cols[j], cols[i])
             if j != i:
-                out[j][i] = acc.conjugate()
+                out[j][i] = out[i][j].conjugate()
     return out
 
 
@@ -247,8 +234,8 @@ def verify_table_fusion(tf: TableFusion, label: str = "") -> VerificationReport:
 def _table_gram(tf: TableFusion) -> list[list[int]]:
     """Integer Gram <a, b> of the basis rows from the base class sizes; a
     non-integral entry means the rows are not virtual characters."""
-    sums = [[cyclo_sum(x * y.conjugate() * c for x, y, c in zip(a, b, tf.class_sizes))
-             for b in tf.basis_values] for a in tf.basis_values]
+    sums = [[cyclo_dot(tf.class_sizes, a, b) for b in tf.basis_values]
+            for a in tf.basis_values]
     if not all(v.is_rational_integer() and v.rational_value() % tf.group_order == 0
                for row in sums for v in row):
         raise ValueError("table-mode basis rows are not virtual characters")

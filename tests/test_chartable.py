@@ -1,9 +1,12 @@
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
 from fuschar.chartable import (
+    ClassFunction,
+    _validate_table,
     _nullspace_mod,
     _solve_coords,
     dixon_character_table,
@@ -22,6 +25,21 @@ from fuschar.groups import (
     standard_group,
     symmetric_group,
 )
+
+
+def test_validate_table_rejects_a_norm_two_character():
+    tab = dixon_character_table(symmetric_group(3))
+    _validate_table(tab)
+    t3 = next(t for t, c in enumerate(tab.classes.classes) if c.rep_order == 3)
+    chars = []
+    for chi in tab.chars:
+        if chi.degree_int() == 2:
+            vals = list(chi.values)
+            vals[t3] = Cyclotomic.integer(2)  # degrees still square-sum to 6
+            chi = ClassFunction(tuple(vals))
+        chars.append(chi)
+    with pytest.raises(AssertionError, match="not irreducible"):
+        _validate_table(replace(tab, chars=chars))
 
 
 def test_c2_table():

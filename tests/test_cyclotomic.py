@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fuschar.cyclotomic import Cyclotomic, cyclotomic_polynomial, exact_div
+from fuschar.cyclotomic import Cyclotomic, cyclo_dot, cyclotomic_polynomial, exact_div
 
 
 def z(e, k=1):
@@ -99,3 +99,28 @@ def test_norm_of_root_times_integer_is_nonnegative():
 def test_json_round_trip():
     a = Cyclotomic(12, [1, -2, 3, 0, 1])
     assert Cyclotomic.from_json(a.to_json()) == a
+
+
+def test_cyclo_dot_matches_the_operator_loop():
+    rng = random.Random(20261018)
+    orders = (1, 3, 4, 8, 9, 12, 15)
+
+    def value():
+        if rng.random() < 0.2:
+            return Cyclotomic(rng.choice(orders), [0])
+        return random_cyclo(rng, rng.choice(orders))
+
+    for _ in range(60):
+        n = rng.randint(0, 8)
+        weights = [rng.choice([0, rng.randint(-9, 9)]) for _ in range(n)]
+        xs = [value() for _ in range(n)]
+        ys = [value() for _ in range(n)]
+        dot = plain = Cyclotomic.zero()
+        for w, x, y in zip(weights, xs, ys):
+            dot = dot + x * y.conjugate() * w
+            plain = plain + x * w
+        assert cyclo_dot(weights, xs, ys) == dot
+        assert cyclo_dot(weights, xs) == plain
+    # the sum lives at the lcm of the orders of its nonzero terms
+    assert cyclo_dot([1, 0, 5], [z(3), z(8), Cyclotomic(9, [0])], [z(4), z(5), z(7)]).order == 12
+    assert cyclo_dot([], []) == 0

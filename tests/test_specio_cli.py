@@ -236,9 +236,35 @@ def test_paper_exotic_checks_p_before_building_groups(monkeypatch, capsys):
     assert built == []
     # without --p the chains run at p = 5 and the other systems at p = 3
     for item in ("exotic:F547_chain:g", "exotic:F1"):
-        with pytest.raises(LookupError):
-            main(["paper", "--item", item])
+        assert main(["paper", "--item", item]) == 2
+        assert "internal error: LookupError: stop" in capsys.readouterr().err
     assert built == [(5, "N_b"), ("F1", 3)]
+
+
+@pytest.mark.parametrize("exc", [LookupError("no matching restriction"), KeyError("rho")])
+def test_cli_crash_exits_2_not_the_counterexample_code(monkeypatch, capsys, exc):
+    import fuschar.exotic
+
+    def crash(*args):
+        raise exc
+
+    monkeypatch.setattr(fuschar.exotic, "overgroup_context", lambda p, which: None)
+    monkeypatch.setattr(fuschar.exotic, "chain_certificates", crash)
+    assert main(["paper", "--item", "exotic:F547_chain:psu"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"internal error: {type(exc).__name__}")
+    assert "Traceback" in err
+
+
+def test_cli_lets_keyboard_interrupt_through(monkeypatch):
+    import fuschar.exotic
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(fuschar.exotic, "table_3492", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["paper", "--item", "exotic:F_3492"])
 
 
 def test_paper_p_specific_items_reject_other_primes(monkeypatch, capsys):
@@ -262,6 +288,6 @@ def test_paper_p_specific_items_reject_other_primes(monkeypatch, capsys):
     # the item's own prime, or none, runs the suite
     for argv in (["--item", "table5", "--p", "5"], ["--item", "table6", "--p", "3"],
                  ["--item", "example27", "--p", "2"], ["--item", "table6"]):
-        with pytest.raises(LookupError):
-            main(["paper"] + argv)
+        assert main(["paper"] + argv) == 2
+        assert "internal error: LookupError: stop" in capsys.readouterr().err
     assert len(built) == 4

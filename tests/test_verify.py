@@ -339,3 +339,19 @@ def test_b_f_stable_fails_when_a_row_breaks_constancy():
                     for a in fc.s_class_indices for b in fc.s_class_indices))
     cert.b_f[1][j] += 1
     assert "b_f_stable" in check_induction_certificate(cert, irr_s).failures()
+
+
+def test_verdicts_need_no_cyclotomic_multiplication(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("cyclotomic products go through cyclo_dot")
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", refuse)
+    monkeypatch.setattr(Cyclotomic, "__rmul__", refuse)
+    for name, p in (("S4", 2), ("GL2_3", 3), ("C64", 2), ("D16", 2)):
+        rep = verify_group_case(standard_group(name), p, name)
+        assert rep.verdict == "verified", rep.checks
+        assert rep.checks["eq_3_2"] and rep.checks["restriction_identity"]
+    for certf, which in ((certificate_f1, "N_gamma"), (certificate_g, "N_b"),
+                         (certificate_op_f1, "N_gamma2")):
+        rep = check_induction_certificate(certf(3), overgroup_context(3, which).irr_s)
+        assert rep.ok, rep.failures()
