@@ -50,6 +50,7 @@ from .verify import (
     VerificationReport,
     builtin_corpus,
     character_table_matrix,
+    check_certificate_chain,
     check_induction_certificate,
     run_group_corpus,
     verify_conjecture,

@@ -177,29 +177,38 @@ def _char_sort_key(cf: ClassFunction, exponent: int):
 
 def _cyclic_characters(G: FiniteGroup, classes: ConjugacyClassSet, g) -> list[ClassFunction]:
     n = G.order
+    by_g = G.actions.right(G.index[g])
     pos = [0] * n  # power t -> class index
-    x = G.identity
+    x = G.index[G.identity]
     for t in range(n):
-        pos[t] = classes.class_index_of(G, x)
-        x = x * g
+        pos[t] = classes.class_of[x]
+        x = by_g[x]
+    roots = [Cyclotomic.root_of_unity(n, j) for j in range(n)]
     chars = []
     for j in range(n):
         vals: list = [None] * n
         for t in range(n):
-            vals[pos[t]] = Cyclotomic.root_of_unity(n, (j * t) % n)
+            vals[pos[t]] = roots[(j * t) % n]
         chars.append(ClassFunction(tuple(vals)))
     return chars
 
 
 def _class_matrix(G: FiniteGroup, classes: ConjugacyClassSet, i: int, l: int) -> list[list[int]]:
+    """Entry (j, t) counts x in class i with x^-1 * rep_t in class j.
+
+    x -> x^-1 maps class i onto the class of rep_i^-1, and x^-1 * rep_t is
+    conjugate to rep_t * x^-1, so the count runs over y in that class with
+    rep_t * y in class j: left multiplication on positions, with no element
+    products.
+    """
     k = len(classes.classes)
-    reps = [c.rep for c in classes.classes]
+    class_of = classes.class_of
+    inverses = classes.classes[
+        classes.class_index_of(G, classes.classes[i].rep.inverse())].member_indices
     mat = [[0] * k for _ in range(k)]
-    for pos in classes.classes[i].member_indices:
-        xinv = G.elements[pos].inverse()
-        for t in range(k):
-            j = classes.class_index_of(G, xinv * reps[t])
-            mat[j][t] += 1
+    for t, c in enumerate(classes.classes):
+        for y in G.actions.left(G.index[c.rep], inverses):
+            mat[class_of[y]][t] += 1
     return [[v % l for v in row] for row in mat]
 
 

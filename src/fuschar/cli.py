@@ -92,7 +92,7 @@ def _paper_exotic(name: str, p: int | None, fmt: str, large: bool = False) -> in
         overgroup_context,
         table_3492,
     )
-    from .verify import check_induction_certificate, verify_table_fusion
+    from .verify import check_certificate_chain, verify_table_fusion
 
     # the chains exist only at p = 5; every other system defaults to p = 3
     spec = exotic_fusion_spec(name, p or (5 if name.startswith("F547_chain") else 3))
@@ -102,10 +102,9 @@ def _paper_exotic(name: str, p: int | None, fmt: str, large: bool = False) -> in
     if spec["mode"] == "chain":
         ctx = overgroup_context(p, spec["base"])
         code = EXIT_OK
-        for cert in chain_certificates(spec["family"], p):
-            rep = check_induction_certificate(cert, ctx.irr_s)
+        for rep in check_certificate_chain(chain_certificates(spec["family"], p), ctx.irr_s):
             status = "passed" if rep.ok else f"FAILED {rep.failures()}"
-            print(f"{cert.label}: certificate {status}")
+            print(f"{rep.label}: certificate {status}")
             if not rep.ok:
                 code = EXIT_COUNTEREXAMPLE
         return code

@@ -5,6 +5,7 @@ class fusion inside an overgroup.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from math import lcm
 
@@ -155,6 +156,80 @@ class FpMat:
         return f"FpMat(p={self.p}, {self.rows()})"
 
 
+class PositionActions:
+    """Multiplication of an enumerated group on its sorted element positions.
+
+    `act[i][x]` is the position of `generators[i] * elements[x]`.  Every
+    element x other than the identity is `generators[gen[x]] * elements[parent[x]]`
+    with its parent earlier in the breadth-first order `bfs`, so right
+    multiplication by any element, conjugation and left multiplication along
+    an element's word in the generators are list indexing, with no element
+    products (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+    ch. 4).
+    """
+
+    __slots__ = ("act", "bfs", "parent", "gen")
+
+    def __init__(self, act: list, bfs: array, parent: array, gen: array) -> None:
+        self.act = act
+        self.bfs = bfs
+        self.parent = parent
+        self.gen = gen
+
+    def check(self) -> None:
+        """Raise unless every generator acts as a permutation of the positions
+        and every non-root position is its generator's image of its parent."""
+        n = len(self.bfs)
+        everything = set(range(n))
+        for images in self.act:
+            if len(images) != n or set(images) != everything:
+                raise AssertionError("a generator action is not a permutation of the elements")
+        act, parent, gen = self.act, self.parent, self.gen
+        if any(act[gen[x]][parent[x]] != x for x in self.bfs[1:]):
+            raise AssertionError("the breadth-first tree disagrees with the generator actions")
+
+    def along_tree(self, start: int, maps: list) -> array:
+        """`out[x] = maps[gen[x]][out[parent[x]]]` down the breadth-first tree
+        from `out[identity] = start`.  With the generator actions as `maps`
+        this is x -> x*h for h at `start` (if x = g*y then x*h = g*(y*h)); with
+        conjugation by the generators it is x -> x*h*x^-1."""
+        out = array("i", [0]) * len(self.bfs)
+        out[self.bfs[0]] = start
+        parent, gen = self.parent, self.gen
+        for x in self.bfs[1:]:
+            out[x] = maps[gen[x]][out[parent[x]]]
+        return out
+
+    def right(self, h: int) -> array:
+        """Position of elements[x] * elements[h], for every position x."""
+        return self.along_tree(h, self.act)
+
+    def left(self, h: int, xs) -> array:
+        """Positions of elements[h] * elements[x] for x in xs: the generator
+        actions composed along the breadth-first word of h."""
+        word = []
+        while h != self.bfs[0]:
+            word.append(self.gen[h])
+            h = self.parent[h]
+        out = array("i", xs)
+        for i in reversed(word):
+            images = self.act[i]
+            out = array("i", [images[x] for x in out])
+        return out
+
+    def conjugations(self) -> list[array]:
+        """For each generator g, the position of g * elements[x] * g^-1."""
+        n = len(self.bfs)
+        maps = []
+        for images in self.act:
+            by_g = self.right(images[self.bfs[0]])
+            undo = array("i", [0]) * n  # right multiplication by g^-1
+            for x, y in enumerate(by_g):
+                undo[y] = x
+            maps.append(array("i", [images[y] for y in undo]))
+        return maps
+
+
 @dataclass
 class FiniteGroup:
     generators: list
@@ -164,6 +239,7 @@ class FiniteGroup:
     index: dict = field(repr=False)
     _classes: object = field(default=None, repr=False)
     designated: dict = field(default_factory=dict, repr=False)
+    actions: PositionActions = field(default=None, repr=False)
 
     def __contains__(self, x) -> bool:
         return x in self.index
@@ -185,7 +261,8 @@ class FiniteGroup:
 
 def enumerate_group(generators: list, max_order: int | None = None,
                     designated: dict | None = None) -> FiniteGroup:
-    """Breadth-first closure of the generators, canonically ordered."""
+    """Breadth-first closure of the generators, canonically ordered, with the
+    generator actions and the breadth-first tree kept on element positions."""
     cap = max_order if max_order is not None else DEFAULT_MAX_ORDER
     if generators:
         first = generators[0]
@@ -199,24 +276,48 @@ def enumerate_group(generators: list, max_order: int | None = None,
                 raise ValueError("matrix generators must share dimension and characteristic")
     else:
         ident = Perm.identity(1)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for g in generators:
-            for x in frontier:
-                y = g * x
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-                    if len(seen) > cap:
+    # discovery numbers: found[e] is e's place in `found_order`
+    found = {ident: 0}
+    found_order = [ident]
+    parent = array("i", [-1])
+    gen = array("i", [-1])
+    act = [array("i") for _ in generators]  # in discovery numbers
+    start = 0
+    while start < len(found_order):
+        stop = len(found_order)
+        for i, g in enumerate(generators):
+            images = act[i]
+            for d in range(start, stop):
+                y = g * found_order[d]
+                j = found.get(y)
+                if j is None:
+                    j = len(found_order)
+                    found[y] = j
+                    found_order.append(y)
+                    parent.append(d)
+                    gen.append(i)
+                    if len(found) > cap:
                         raise ValueError(
                             f"group too large: closure exceeded the cap of {cap} elements")
-        frontier = new
-    elements = sorted(seen, key=lambda e: e.encoding())
+                images.append(j)
+        start = stop
+    # the discovery-numbered data is freed before `index` is built, to keep
+    # the peak down
+    del found
+    by_pos = sorted(range(len(found_order)), key=lambda d: found_order[d].encoding())
+    elements = [found_order[d] for d in by_pos]
+    pos = array("i", [0]) * len(by_pos)  # discovery number -> position
+    for x, d in enumerate(by_pos):
+        pos[d] = x
+    for i, images in enumerate(act):
+        act[i] = array("i", [pos[images[d]] for d in by_pos])
+    actions = PositionActions(act, pos,
+                              array("i", [pos[parent[d]] if d else -1 for d in by_pos]),
+                              array("i", [gen[d] for d in by_pos]))
+    del found_order, by_pos
     index = {e: i for i, e in enumerate(elements)}
     return FiniteGroup(list(generators), elements, ident, len(elements), index,
-                       designated=dict(designated or {}))
+                       designated=dict(designated or {}), actions=actions)
 
 
 @dataclass(frozen=True)
@@ -241,34 +342,35 @@ CENTRALIZER_CHECK_LIMIT = 1000
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassSet:
-    """Orbit algorithm under conjugation by the generators.
+    """Orbit algorithm under conjugation by the generators, on positions.
 
     Centralizer orders come from orbit-stabilizer and are cross-checked by a
-    direct count for classes of size <= CENTRALIZER_CHECK_LIMIT.
+    direct count of the positions where x*rep and rep*x agree, for classes of
+    size <= CENTRALIZER_CHECK_LIMIT.
     """
     if G._classes is not None:
         return G._classes
     n = G.order
-    gen_pairs = [(g, g.inverse()) for g in G.generators]
+    actions = G.actions
+    actions.check()
+    conj = actions.conjugations()
     assigned = [-1] * n
     raw = []
     for start in range(n):
         if assigned[start] >= 0:
             continue
         cls_id = len(raw)
-        seed = G.elements[start]
         assigned[start] = cls_id
         members = [start]
-        frontier = [seed]
+        frontier = [start]
         while frontier:
             new = []
             for x in frontier:
-                for g, ginv in gen_pairs:
-                    y = g * x * ginv
-                    pos = G.index[y]
-                    if assigned[pos] < 0:
-                        assigned[pos] = cls_id
-                        members.append(pos)
+                for images in conj:
+                    y = images[x]
+                    if assigned[y] < 0:
+                        assigned[y] = cls_id
+                        members.append(y)
                         new.append(y)
             frontier = new
         raw.append(members)
@@ -281,7 +383,8 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassSet:
             raise AssertionError("class size must divide the group order")
         cent = G.order // size
         if size <= CENTRALIZER_CHECK_LIMIT:
-            direct = sum(1 for x in G.elements if x * rep == rep * x)
+            pairs = zip(actions.right(rep_pos), actions.left(rep_pos, range(n)))
+            direct = sum(1 for a, b in pairs if a == b)
             if direct != cent:
                 raise AssertionError(
                     "orbit-stabilizer centralizer order failed direct count")
@@ -315,31 +418,29 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> FiniteGroup:
         return G
     if target == 1:
         return enumerate_group([], designated={})
+    classes = conjugacy_classes(G)
     # seed: a p-element of maximal order
     best = None
     best_order = 0
-    for c in conjugacy_classes(G).classes:
+    for c in classes.classes:
         o = c.rep_order
         if o == p_part(o, p) and o > best_order and o > 1:
             best, best_order = c.rep, o
+    p_element_class = [c.rep_order == p_part(c.rep_order, p) for c in classes.classes]
+    actions = G.actions
+    conj = actions.conjugations()
     gens = [best]
     P = enumerate_group(gens, max_order=G.order)
     while P.order < target:
-        ext = None
-        pset = P.index
-        for x in G.elements:
-            if x in pset:
-                continue
-            o = G.element_order(x)
-            if o != p_part(o, p):
-                continue
-            xinv = x.inverse()
-            if all(x * g * xinv in pset for g in gens):
-                ext = x
-                break
+        pset = {G.index[y] for y in P.elements}
+        # x -> x g x^-1 for each generator g of P
+        conjugates = [actions.along_tree(G.index[g], conj) for g in gens]
+        ext = next((x for x in range(G.order)
+                    if x not in pset and p_element_class[classes.class_of[x]]
+                    and all(c[x] in pset for c in conjugates)), None)
         if ext is None:
             raise AssertionError("Sylow extension step found no normalizing p-element")
-        gens.append(ext)
+        gens.append(G.elements[ext])
         P = enumerate_group(gens, max_order=G.order)
     return P
 

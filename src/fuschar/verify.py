@@ -272,19 +272,30 @@ class CertificateReport:
     det_base: int = 0
     det_target: int = 0
     containment_index: int = 0
+    target_lattice: StableLattice | None = field(default=None, repr=False, compare=False)
 
     def failures(self) -> list[str]:
         return [name for name, good in self.hypotheses.items() if not good]
 
 
-def check_induction_certificate(cert: InductionCertificate,
-                                irr_s: CharacterTable) -> CertificateReport:
+def check_induction_certificate(cert: InductionCertificate, irr_s: CharacterTable,
+                                base_lattice: StableLattice | None = None
+                                ) -> CertificateReport:
+    """Check every hypothesis of one certificate step.
+
+    `base_lattice` is the stable lattice of `cert.base` when the caller has
+    already built it (`check_certificate_chain`); it is built here otherwise.
+    The report carries the target lattice for the next step of a chain.
+    """
     hyp: dict[str, bool] = {}
     S = cert.base.S
     p = cert.base.p
     sc = conjugacy_classes(S)
 
-    base_lattice = stable_character_basis(irr_s, cert.base)
+    if base_lattice is None:
+        base_lattice = stable_character_basis(irr_s, cert.base)
+    elif base_lattice.fusion is not cert.base or base_lattice.irr_s is not irr_s:
+        raise ValueError("the given base lattice belongs to another fusion system or table")
     hyp["b_n_is_basis"] = _spans_same_lattice(base_lattice.basis, cert.b_n)
     hyp["class_count_drop"] = cert.target.k + 1 == cert.base.k
     hyp["pair_not_base_fused"] = (cert.base.class_of_element(cert.u)
@@ -345,7 +356,20 @@ def check_induction_certificate(cert: InductionCertificate,
         hyp["determinant_relation"] = False
         hyp["b_f_basis_of_target"] = False
     return CertificateReport(cert.label, hyp, all(hyp.values()), det_base,
-                             det_target, containment_index)
+                             det_target, containment_index, target_lattice)
+
+
+def check_certificate_chain(certs: list[InductionCertificate],
+                            irr_s: CharacterTable) -> list[CertificateReport]:
+    """Check each step of a chain, building each stable lattice once: a step
+    whose base is the previous step's target starts from that target lattice."""
+    reports: list[CertificateReport] = []
+    for cert in certs:
+        base = None
+        if reports and reports[-1].target_lattice.fusion is cert.base:
+            base = reports[-1].target_lattice
+        reports.append(check_induction_certificate(cert, irr_s, base))
+    return reports
 
 
 def _spans_same_lattice(a: list[list[int]], b: list[list[int]]) -> bool:

@@ -205,3 +205,17 @@ def test_solve_coords_rejects_an_image_outside_the_subspace():
         _solve_coords(w, [[0, 0, 1]], 5)
     with pytest.raises(AssertionError, match="degenerate"):
         _solve_coords([[1, 2], [2, 4]], [[1, 2]], 5)
+
+
+def test_cyclic_table_builds_each_root_of_unity_once(monkeypatch):
+    calls = []
+    original = Cyclotomic.root_of_unity.__func__
+
+    def counted(cls, e, k=1):
+        calls.append((e, k))
+        return original(cls, e, k)
+
+    monkeypatch.setattr(Cyclotomic, "root_of_unity", classmethod(counted))
+    table = dixon_character_table(cyclic_group(64))
+    assert table.k == 64
+    assert len(calls) <= 64

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import product
 
@@ -13,6 +15,8 @@ from fuschar.groups import (
     cyclic_group,
     dihedral_group,
     enumerate_group,
+    gl2_3,
+    heisenberg_group,
     standard_group,
     subgroup,
     sylow_subgroup,
@@ -159,3 +163,48 @@ def test_fpmat_inverse_and_singular_matrices():
             inv = m.inverse()
             assert (inv * m).is_identity() and (m * inv).is_identity()
     assert seen_singular and seen_invertible
+
+
+def test_position_actions_agree_with_element_products():
+    for g in (enumerate_group([]), symmetric_group(4), gl2_3(), heisenberg_group(5),
+              standard_group("D16")):
+        els, idx, actions = g.elements, g.index, g.actions
+        everything = range(g.order)
+        for i, gen in enumerate(g.generators):
+            assert actions.act[i].tolist() == [idx[gen * x] for x in els]
+        for h, y in enumerate(els):
+            assert actions.right(h).tolist() == [idx[x * y] for x in els]
+            assert actions.left(h, everything).tolist() == [idx[y * x] for x in els]
+        conj = actions.conjugations()
+        for i, gen in enumerate(g.generators):
+            gen_inv = gen.inverse()
+            assert conj[i].tolist() == [idx[gen * x * gen_inv] for x in els]
+
+
+def _classes_sha256(g) -> str:
+    cc = conjugacy_classes(g)
+    data = [[list(c.rep.encoding()) for c in cc.classes],
+            [c.size for c in cc.classes],
+            [c.centralizer_order for c in cc.classes],
+            list(cc.class_of)]
+    return hashlib.sha256(json.dumps(data, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_class_data_of_the_overgroups_is_pinned():
+    # digests of the classes computed with whole-group element products
+    pinned = {
+        (5, "N_b"): "9adb679ecd31022679a7b55f95db6f8ba730312166d7f8d9a056c8c24559510e",
+        (5, "N_gamma4star"): "519a42cf85af2a71cce7a0fb8157e298a3b47704988473c264b12fde1f71df58",
+        (3, "S"): "53fe6b6cae0b733142b1c948fad0fcf6271e3a052b96b2fb92ee8168641320fc",
+    }
+    for (p, which), digest in pinned.items():
+        assert _classes_sha256(build_group(p, which)) == digest, (p, which)
+
+
+def test_a_corrupted_generator_action_is_rejected():
+    g = symmetric_group(4)
+    images = g.actions.act[1]
+    images[7] = (images[7] + 1) % g.order
+    with pytest.raises(AssertionError, match="not a permutation"):
+        conjugacy_classes(g)
+    assert g._classes is None

@@ -20,6 +20,7 @@ from fuschar.verify import (
     _x_matrix,
     builtin_corpus,
     character_table_matrix,
+    check_certificate_chain,
     check_induction_certificate,
     gram_determinant,
     gram_matrix,
@@ -355,3 +356,38 @@ def test_verdicts_need_no_cyclotomic_multiplication(monkeypatch):
                          (certificate_op_f1, "N_gamma2")):
         rep = check_induction_certificate(certf(3), overgroup_context(3, which).irr_s)
         assert rep.ok, rep.failures()
+
+
+def test_a_certificate_chain_builds_each_stable_lattice_once(monkeypatch, capsys):
+    import fuschar.cli
+    import fuschar.stable
+    import fuschar.verify
+
+    calls = []
+    original = fuschar.stable.stable_character_basis
+
+    def counted(irr_s, fusion):
+        calls.append(fusion)
+        return original(irr_s, fusion)
+
+    monkeypatch.setattr(fuschar.stable, "stable_character_basis", counted)
+    monkeypatch.setattr(fuschar.verify, "stable_character_basis", counted)
+    assert fuschar.cli.main(["paper", "--item", "exotic:F547_chain:psu"]) == 0
+    assert capsys.readouterr().out.count("certificate passed") == 4
+    # one lattice for the base and one for each of the four targets
+    assert len(calls) == 5
+    assert len({id(f) for f in calls}) == 5
+
+
+def test_a_chain_reports_as_its_steps_checked_one_by_one():
+    from fuschar.exotic import chain_certificates
+
+    irr_s = overgroup_context(5, "N_b").irr_s
+    certs = chain_certificates("g", 5)
+    chained = check_certificate_chain(certs, irr_s)
+    assert chained == [check_induction_certificate(cert, irr_s) for cert in certs]
+    assert all(rep.ok for rep in chained)
+    assert all(rep.target_lattice.fusion is c.target for rep, c in zip(chained, certs))
+    # a lattice built for another fusion system is refused, not used
+    with pytest.raises(ValueError, match="another fusion system"):
+        check_induction_certificate(certs[0], irr_s, chained[0].target_lattice)
