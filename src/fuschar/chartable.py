@@ -14,7 +14,7 @@ from math import isqrt
 
 from .cyclotomic import Cyclotomic, cyclo_dot, exact_div
 from .groups import ConjugacyClassSet, FiniteGroup, class_fusion_map, conjugacy_classes
-from .intlinalg import is_prime, primitive_root, rref_mod
+from .intlinalg import is_prime, mat_mul, primitive_root, rref_mod, transpose
 
 
 @dataclass(frozen=True)
@@ -160,9 +160,9 @@ def dixon_character_table(G: FiniteGroup) -> CharacterTable:
     if k == 1:
         table = CharacterTable(G, classes, [trivial_character(classes)], 1)
         return table
-    cyc = next((c.rep for c in classes.classes if c.rep_order == G.order), None)
+    cyc = next((i for i, c in enumerate(classes.classes) if c.rep_order == G.order), None)
     if cyc is not None:
-        chars = _cyclic_characters(G, classes, cyc)
+        chars = _cyclic_characters(classes.powers[cyc])
     else:
         chars = _dixon_characters(G, classes, exponent)
     chars.sort(key=lambda cf: _char_sort_key(cf, exponent))
@@ -175,14 +175,10 @@ def _char_sort_key(cf: ClassFunction, exponent: int):
     return (cf.degree_int(), tuple(v.embedded(exponent).coeffs for v in cf.values))
 
 
-def _cyclic_characters(G: FiniteGroup, classes: ConjugacyClassSet, g) -> list[ClassFunction]:
-    n = G.order
-    by_g = G.actions.right(G.index[g])
-    pos = [0] * n  # power t -> class index
-    x = G.index[G.identity]
-    for t in range(n):
-        pos[t] = classes.class_of[x]
-        x = by_g[x]
+def _cyclic_characters(pos: tuple) -> list[ClassFunction]:
+    """The table of a cyclic group, from the classes `pos[t]` of a
+    generator's powers g ** t."""
+    n = len(pos)
     roots = [Cyclotomic.root_of_unity(n, j) for j in range(n)]
     chars = []
     for j in range(n):
@@ -203,8 +199,7 @@ def _class_matrix(G: FiniteGroup, classes: ConjugacyClassSet, i: int, l: int) ->
     """
     k = len(classes.classes)
     class_of = classes.class_of
-    inverses = classes.classes[
-        classes.class_index_of(G, classes.classes[i].rep.inverse())].member_indices
+    inverses = classes.classes[classes.powers[i][-1]].member_indices
     mat = [[0] * k for _ in range(k)]
     for t, c in enumerate(classes.classes):
         for y in G.actions.left(G.index[c.rep], inverses):
@@ -236,17 +231,11 @@ def _dixon_characters(G: FiniteGroup, classes: ConjugacyClassSet,
     if not all(len(w) == 1 for w in spaces):
         raise AssertionError("eigenspace splitting failed after all class matrices")
 
-    inv_class = [classes.class_index_of(G, c.rep.inverse()) for c in classes.classes]
+    inv_class = [pc[-1] for pc in classes.powers]
     inv_sizes = [pow(h, -1, l) for h in sizes]
-    power_class = []
-    for c in classes.classes:
-        ord_t = c.rep_order
-        row = [0] * ord_t
-        x = G.identity
-        for r in range(ord_t):
-            row[r] = classes.class_index_of(G, x)
-            x = x * c.rep
-        power_class.append(row)
+    # roots[t][j]: omega ** (j * exponent / ord_t), the ord_t-th roots of unity mod l
+    roots = [[pow(omega, exponent // len(pc) * j, l) for j in range(len(pc))]
+             for pc in classes.powers]
 
     chars = []
     for w in spaces:
@@ -260,15 +249,12 @@ def _dixon_characters(G: FiniteGroup, classes: ConjugacyClassSet,
             raise AssertionError("degree recovery failed; Dixon prime too small")
         cvals = [(u[t] * degree * inv_sizes[t]) % l for t in range(k)]
         values = []
-        for t in range(k):
-            ord_t = classes.classes[t].rep_order
-            om = pow(omega, exponent // ord_t, l)
+        for pc, root in zip(classes.powers, roots):
+            ord_t = len(pc)
             inv_ord = pow(ord_t, -1, l)
             coeffs = []
             for s in range(ord_t):
-                acc = 0
-                for r in range(ord_t):
-                    acc += cvals[power_class[t][r]] * pow(om, (-r * s) % ord_t, l)
+                acc = sum(cvals[c] * root[(-r * s) % ord_t] for r, c in enumerate(pc))
                 ms = (acc * inv_ord) % l
                 if ms > degree:
                     raise AssertionError("eigenvalue multiplicity exceeds the degree")
@@ -283,12 +269,7 @@ def _dixon_characters(G: FiniteGroup, classes: ConjugacyClassSet,
 def _refine_space(w: list[list[int]], mat: list[list[int]], l: int) -> list[list[list[int]]]:
     d = len(w)
     k = len(w[0])
-    images = []
-    for row in w:
-        img = [0] * k
-        for j in range(k):
-            img[j] = sum(mat[j][t] * row[t] for t in range(k)) % l
-        images.append(img)
+    images = [[x % l for x in img] for img in mat_mul(w, transpose(mat))]
     b_rest = _solve_coords(w, images, l)
     poly = _charpoly_mod(b_rest, l)
     roots = _poly_roots_mod(poly, l)

@@ -115,21 +115,18 @@ def apply_merges(base: FusionData, merges: list[tuple]) -> FusionData:
             i = parent[i]
         return i
 
-    def union(a, b) -> None:
-        ra, rb = find(base.class_of_element(a)), find(base.class_of_element(b))
-        if ra != rb:
-            parent[ra] = rb
-
+    sc = conjugacy_classes(base.S)
     for a, b in merges:
         if a not in base.S.index or b not in base.S.index:
             raise ValueError("merge elements must lie in S")
-        order_a = base.S.element_order(a)
-        if order_a != base.S.element_order(b):
+        # a ** r lies in the S-class of rep ** r, for rep the representative of a's class
+        pa, pb = (sc.powers[sc.class_index_of(base.S, x)] for x in (a, b))
+        if len(pa) != len(pb):
             raise ValueError("fused elements must have equal order")
-        xa, xb = a, b
-        for _ in range(order_a):
-            union(xa, xb)
-            xa, xb = xa * a, xb * b
+        for sa, sb in zip(pa, pb):
+            ra, rb = find(base._class_of_s_class[sa]), find(base._class_of_s_class[sb])
+            if ra != rb:
+                parent[ra] = rb
     grouped: dict[int, list[int]] = {}
     for ci, fc in enumerate(base.classes):
         grouped.setdefault(find(ci), []).extend(fc.s_class_indices)
@@ -192,6 +189,13 @@ class TableFusion:
             raise ValueError("basis value matrix must be square over the classes")
         if sum(self.class_sizes) != self.group_order:
             raise ValueError("class sizes must sum to the group order")
+        if p_part(self.group_order, self.p) != self.group_order:
+            raise ValueError(f"table-mode group order {self.group_order} is not a power "
+                             f"of p = {self.p}")
+        for c in self.centralizer_orders:
+            if self.group_order % c:  # the divisors of a p-power are its p-powers
+                raise ValueError(f"centralizer order {c} is not a power of p = {self.p} "
+                                 f"dividing the group order {self.group_order}")
         seen: set[int] = set()
         for grp in self.merge_groups:
             if not grp:

@@ -204,18 +204,34 @@ class PositionActions:
         """Position of elements[x] * elements[h], for every position x."""
         return self.along_tree(h, self.act)
 
-    def left(self, h: int, xs) -> array:
-        """Positions of elements[h] * elements[x] for x in xs: the generator
-        actions composed along the breadth-first word of h."""
+    def word(self, h: int) -> list:
+        """The generator actions whose composition, in list order, is left
+        multiplication by elements[h]: h's breadth-first word, last letter first."""
         word = []
         while h != self.bfs[0]:
-            word.append(self.gen[h])
+            word.append(self.act[self.gen[h]])
             h = self.parent[h]
+        return word[::-1]
+
+    def left(self, h: int, xs) -> array:
+        """Positions of elements[h] * elements[x] for x in xs."""
         out = array("i", xs)
-        for i in reversed(word):
-            images = self.act[i]
+        for images in self.word(h):
             out = array("i", [images[x] for x in out])
         return out
+
+    def powers(self, h: int) -> list[int]:
+        """Positions of elements[h] ** r for r below the order of elements[h]."""
+        word = self.word(h)
+        out = [self.bfs[0]]
+        x = h
+        for _ in self.bfs:
+            if x == out[0]:
+                return out
+            out.append(x)
+            for images in word:
+                x = images[x]
+        raise AssertionError("the powers of an element never return to the identity")
 
     def conjugations(self) -> list[array]:
         """For each generator g, the position of g * elements[x] * g^-1."""
@@ -243,14 +259,6 @@ class FiniteGroup:
 
     def __contains__(self, x) -> bool:
         return x in self.index
-
-    def element_order(self, x) -> int:
-        n = 1
-        y = x
-        while not y.is_identity():
-            y = y * x
-            n += 1
-        return n
 
     def exponent(self) -> int:
         return lcm(*(c.rep_order for c in conjugacy_classes(self).classes))
@@ -333,6 +341,7 @@ class ConjClass:
 class ConjugacyClassSet:
     classes: tuple
     class_of: tuple  # element position -> class index
+    powers: tuple  # powers[i][r]: the class of classes[i].rep ** r, for r < rep_order
 
     def class_index_of(self, group: FiniteGroup, x) -> int:
         return self.class_of[group.index[x]]
@@ -346,7 +355,8 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassSet:
 
     Centralizer orders come from orbit-stabilizer and are cross-checked by a
     direct count of the positions where x*rep and rep*x agree, for classes of
-    size <= CENTRALIZER_CHECK_LIMIT.
+    size <= CENTRALIZER_CHECK_LIMIT.  The power map walks each representative's
+    powers along its word in the generators.
     """
     if G._classes is not None:
         return G._classes
@@ -374,7 +384,7 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassSet:
                         new.append(y)
             frontier = new
         raw.append(members)
-    infos = []
+    infos, powers = [], []
     for members in raw:
         rep_pos = min(members)
         rep = G.elements[rep_pos]
@@ -388,15 +398,16 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassSet:
             if direct != cent:
                 raise AssertionError(
                     "orbit-stabilizer centralizer order failed direct count")
-        infos.append(ConjClass(rep, size, cent, G.element_order(rep),
-                               frozenset(members)))
+        powers.append(actions.powers(rep_pos))
+        infos.append(ConjClass(rep, size, cent, len(powers[-1]), frozenset(members)))
     order = sorted(range(len(infos)),
                    key=lambda i: (infos[i].size, infos[i].rep_order,
                                   infos[i].rep.encoding()))
     relabel = {old: new for new, old in enumerate(order)}
     classes = tuple(infos[i] for i in order)
     class_of = tuple(relabel[assigned[pos]] for pos in range(n))
-    result = ConjugacyClassSet(classes, class_of)
+    result = ConjugacyClassSet(classes, class_of,
+                               tuple(tuple(class_of[x] for x in powers[i]) for i in order))
     G._classes = result
     return result
 

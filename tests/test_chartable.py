@@ -6,6 +6,7 @@ import pytest
 
 from fuschar.chartable import (
     ClassFunction,
+    _class_matrix,
     _validate_table,
     _nullspace_mod,
     _solve_coords,
@@ -22,6 +23,8 @@ from fuschar.groups import (
     conjugacy_classes,
     cyclic_group,
     enumerate_group,
+    gl2_3,
+    heisenberg_group,
     standard_group,
     symmetric_group,
 )
@@ -97,7 +100,7 @@ def test_restriction_basics():
     s = standard_group("C4")
     syl = None
     # use the cyclic subgroup generated by a 4-cycle inside S4
-    four_cycle = next(x for x in g.elements if g.element_order(x) == 4)
+    four_cycle = next(c.rep for c in conjugacy_classes(g).classes if c.rep_order == 4)
     syl = enumerate_group([four_cycle], max_order=24)
     tab_g = dixon_character_table(g)
     restricted, fusion = restrict_table(tab_g, syl)
@@ -219,3 +222,16 @@ def test_cyclic_table_builds_each_root_of_unity_once(monkeypatch):
     table = dixon_character_table(cyclic_group(64))
     assert table.k == 64
     assert len(calls) <= 64
+
+
+def test_class_matrix_counts_element_products():
+    # GL2_3 and ES3 have classes that do not contain their inverses
+    for g in (gl2_3(), heisenberg_group(3), symmetric_group(4)):
+        cc = conjugacy_classes(g)
+        k = len(cc.classes)
+        for i, ci in enumerate(cc.classes):
+            expected = [[0] * k for _ in range(k)]
+            for t, ct in enumerate(cc.classes):
+                for x in ci.member_indices:
+                    expected[cc.class_index_of(g, g.elements[x].inverse() * ct.rep)][t] += 1
+            assert _class_matrix(g, cc, i, 10007) == expected

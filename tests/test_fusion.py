@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+from fuschar.constructions import build_group
+from fuschar.cyclotomic import Cyclotomic
 from fuschar.exotic import table_3492
 from fuschar.fusion import (
     TableFusion,
@@ -82,6 +86,53 @@ def test_group_fusion_flags_and_product_drop():
     assert centralizer_product(base) == 9 * centralizer_product(merged)
 
 
+def _power_closure(base, merges):
+    """The S-class groups of apply_merges, found by multiplying elements."""
+    S = base.S
+    parent = list(range(base.k))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for a, b in merges:
+        xa, xb = a, b
+        while True:
+            ra, rb = find(base.class_of_element(xa)), find(base.class_of_element(xb))
+            parent[ra] = rb
+            if xa == S.identity:
+                break
+            xa, xb = xa * a, xb * b
+    groups = {}
+    for ci, fc in enumerate(base.classes):
+        groups.setdefault(find(ci), []).extend(fc.s_class_indices)
+    return sorted(sorted(g) for g in groups.values())
+
+
+def test_merges_of_non_representatives_follow_the_element_powers():
+    rng = random.Random(8)
+    s4 = symmetric_group(4)
+    for base in (fusion_of_self(build_group(3, "S"), 3),
+                 fusion_from_group(s4, sylow_subgroup(s4, 2), 2)):
+        S = base.S
+        sc = conjugacy_classes(S)
+        reps = {c.rep for c in sc.classes}
+        by_order = {}
+        for x in S.elements:
+            if x not in reps:
+                by_order.setdefault(sc.classes[sc.class_index_of(S, x)].rep_order, []).append(x)
+        assert sum(map(len, by_order.values())) > 0
+        for _ in range(6):
+            merges = []
+            for _ in range(rng.randint(1, 3)):
+                pool = rng.choice([xs for xs in by_order.values() if len(xs) > 1])
+                merges.append(tuple(rng.sample(pool, 2)))
+            merged = apply_merges(base, merges)
+            assert sorted(list(fc.s_class_indices) for fc in merged.classes) == \
+                _power_closure(base, merges)
+
+
 def test_merge_requires_membership():
     c8 = cyclic_group(8)
     base = fusion_of_self(c8, 2)
@@ -121,6 +172,13 @@ def test_table_fusion_rejects_bad_merge_groups(groups, message):
         fusion_from_spec({"mode": "table", "table": data})
 
 
+# the class data of C2 at p = 2, with the two classes kept apart
+C2_TABLE = {"p": 2, "group_order": 2, "labels": ["1", "a"], "class_sizes": [1, 1],
+            "centralizer_orders": [2, 2], "merge_groups": [],
+            "basis_values": [[Cyclotomic.integer(v).to_json() for v in row]
+                             for row in ([1, 1], [1, -1])]}
+
+
 @pytest.mark.parametrize("fields, message", [
     ({"p": 4}, "not prime"),
     ({"centralizer_orders": [81, 81, -27, 27, 9, 9, 9, 27, 27, 27]}, "must be positive"),
@@ -128,6 +186,8 @@ def test_table_fusion_rejects_bad_merge_groups(groups, message):
     ({"basis_values": table_3492().to_json()["basis_values"][:9]}, "must be square"),
     ({"group_order": 0, "labels": [], "class_sizes": [], "centralizer_orders": [],
       "basis_values": [], "merge_groups": []}, "at least one class"),
+    (dict(C2_TABLE, centralizer_orders=[2, 6]), "centralizer order 6 is not a power of p = 2"),
+    (dict(C2_TABLE, p=3), "group order 2 is not a power of p = 3"),
 ])
 def test_table_fusion_rejects_bad_class_data(fields, message):
     from fuschar.specio import SpecError, fusion_from_spec

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from fuschar.chartable import dixon_character_table
 from fuschar.constructions import build_group
 from fuschar.groups import (
     FpMat,
@@ -23,6 +24,7 @@ from fuschar.groups import (
     symmetric_group,
 )
 from fuschar.intlinalg import p_part
+from fuschar.specio import table_to_json
 
 
 def test_enumerate_cyclic_and_trivial():
@@ -133,7 +135,7 @@ def test_class_fusion_requires_containment():
         class_fusion_map(symmetric_group(4), symmetric_group(5))
 
 
-def test_exponent_and_element_order():
+def test_exponent_is_the_lcm_of_class_orders():
     a4 = alternating_group(4)
     assert a4.order == 12
     assert a4.exponent() == 6
@@ -175,6 +177,10 @@ def test_position_actions_agree_with_element_products():
         for h, y in enumerate(els):
             assert actions.right(h).tolist() == [idx[x * y] for x in els]
             assert actions.left(h, everything).tolist() == [idx[y * x] for x in els]
+            powers = [idx[g.identity]]
+            while els[powers[-1]] * y != g.identity:
+                powers.append(idx[els[powers[-1]] * y])
+            assert actions.powers(h) == powers
         conj = actions.conjugations()
         for i, gen in enumerate(g.generators):
             gen_inv = gen.inverse()
@@ -199,6 +205,40 @@ def test_class_data_of_the_overgroups_is_pinned():
     }
     for (p, which), digest in pinned.items():
         assert _classes_sha256(build_group(p, which)) == digest, (p, which)
+
+
+def test_class_power_map_agrees_with_element_powers():
+    for g in (enumerate_group([]), symmetric_group(4), gl2_3(), heisenberg_group(5),
+              standard_group("D16"), build_group(5, "N_gamma4star")):
+        cc = conjugacy_classes(g)
+        assert len(cc.powers) == len(cc.classes)
+        for c, powers in zip(cc.classes, cc.powers):
+            assert len(powers) == c.rep_order
+            assert (c.rep ** c.rep_order).is_identity()
+            assert powers == tuple(cc.class_index_of(g, c.rep ** r) for r in range(c.rep_order))
+
+
+def _table_sha256(g) -> str:
+    data = json.dumps(table_to_json(dixon_character_table(g)), sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+def test_character_tables_are_pinned():
+    # digests of the tables computed with element products for the power maps
+    pinned = {
+        "S5": "353388f4bd0db35ae67a25dca3e2bc2e6c0674f5f108a77fb20d95c76f50c188",
+        "A5": "31460fb555e1b7846e7a4c7ae036789021e1528704bd6042e5baf3e372a278ac",
+        "GL2_3": "68326082f8113126d95cdc9be0b39d931e1d6e58d67b3ca6a122eb398c34dffe",
+        "SL2_3": "ebac8494422ed856764d6a0a024a4c3c2ca6e1c883a4b8479227782b6cb6a2be",
+        "D64": "37d3a04dec85ed041ea5f2de310cb1645c5f506ac444d7d23aca5f1d873674f6",
+        "C64": "63adf2a5967fb3433db0b2372e3d872dcf7a66fe506265a0909d7783574f5897",
+        (3, "S"): "7191e582cdeb000c10686cdcddd0ab2cdf4d3c7b338414bb734e374e0a0c2ce4",
+        (5, "S"): "29869f2b89b37d85ecec23948bc30bb2776954baca541c836d8f2251e0591875",
+    }
+    for key, digest in pinned.items():
+        g = build_group(*key) if isinstance(key, tuple) else standard_group(key)
+        assert _table_sha256(g) == digest, key
 
 
 def test_a_corrupted_generator_action_is_rejected():

@@ -201,6 +201,15 @@ def test_cli_spec_boundary_errors_exit_2(tmp_path, capsys):
                                         "generators": [[[1, 1], [0, 1]]]}))
         assert main(["verify-group", "-g", str(bad_char), "-p", "2"]) == 2
         assert f"char = {char} is not prime" in capsys.readouterr().err
+    # C2 at p = 2 with a centralizer order 6: bad class data, not a counterexample
+    bad_table = tmp_path / "bad_table.json"
+    bad_table.write_text(json.dumps({"mode": "table", "table": {
+        "p": 2, "group_order": 2, "labels": ["1", "a"], "class_sizes": [1, 1],
+        "centralizer_orders": [2, 6], "merge_groups": [],
+        "basis_values": [[{"order": 1, "coeffs": [str(v)]} for v in row]
+                         for row in ([1, 1], [1, -1])]}}))
+    assert main(["verify-fusion", "-f", str(bad_table)]) == 2
+    assert "centralizer order 6 is not a power of p = 2" in capsys.readouterr().err
 
 
 def test_paper_exotic_error_verdict_exits_2(monkeypatch, capsys):
