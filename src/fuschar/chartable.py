@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import mul
 
 from .cyclotomic import Cyclotomic, cyclo_dot, exact_div
 from .groups import ConjugacyClassSet, FiniteGroup, class_fusion_map, conjugacy_classes
@@ -233,9 +234,25 @@ def _dixon_characters(G: FiniteGroup, classes: ConjugacyClassSet,
 
     inv_class = [pc[-1] for pc in classes.powers]
     inv_sizes = [pow(h, -1, l) for h in sizes]
-    # roots[t][j]: omega ** (j * exponent / ord_t), the ord_t-th roots of unity mod l
-    roots = [[pow(omega, exponent // len(pc) * j, l) for j in range(len(pc))]
-             for pc in classes.powers]
+    # The lift at class t: the multiplicity of omega_t^s as an eigenvalue is
+    # (1/ord_t) sum_r chi(rep_t^r) omega_t^(-rs), with omega_t of order ord_t.
+    # The terms see r only through the class powers[t][r], so the roots are
+    # summed once per power class: lifts[t] holds the distinct classes of
+    # powers[t] and, for each s, the weight of each over ord_t.
+    lifts = []
+    for pc in classes.powers:
+        ord_t = len(pc)
+        root = [pow(omega, exponent // ord_t * j, l) for j in range(ord_t)]
+        inv_ord = pow(ord_t, -1, l)
+        distinct = list(dict.fromkeys(pc))
+        slot = {c: m for m, c in enumerate(distinct)}
+        per_s = []
+        for s in range(ord_t):
+            wt = [0] * len(distinct)
+            for r, c in enumerate(pc):
+                wt[slot[c]] += root[(-r * s) % ord_t]
+            per_s.append([x * inv_ord % l for x in wt])
+        lifts.append((distinct, per_s))
 
     chars = []
     for w in spaces:
@@ -249,19 +266,17 @@ def _dixon_characters(G: FiniteGroup, classes: ConjugacyClassSet,
             raise AssertionError("degree recovery failed; Dixon prime too small")
         cvals = [(u[t] * degree * inv_sizes[t]) % l for t in range(k)]
         values = []
-        for pc, root in zip(classes.powers, roots):
-            ord_t = len(pc)
-            inv_ord = pow(ord_t, -1, l)
+        for distinct, per_s in lifts:
+            at = [cvals[c] for c in distinct]
             coeffs = []
-            for s in range(ord_t):
-                acc = sum(cvals[c] * root[(-r * s) % ord_t] for r, c in enumerate(pc))
-                ms = (acc * inv_ord) % l
+            for wt in per_s:
+                ms = sum(map(mul, at, wt)) % l
                 if ms > degree:
                     raise AssertionError("eigenvalue multiplicity exceeds the degree")
                 coeffs.append(ms)
             if sum(coeffs) != degree:
                 raise AssertionError("eigenvalue multiplicities do not sum to the degree")
-            values.append(Cyclotomic(ord_t, coeffs))
+            values.append(Cyclotomic(len(per_s), coeffs))
         chars.append(ClassFunction(tuple(values)))
     return chars
 
@@ -301,23 +316,17 @@ def _refine_space(w: list[list[int]], mat: list[list[int]], l: int) -> list[list
 
 def _solve_coords(w: list[list[int]], images: list[list[int]], l: int) -> list[list[int]]:
     """Matrix B with images[i] = sum_j B[i][j] * w[j] over F_l."""
-    d = len(w)
-    k = len(w[0])
     _, pivots, t = rref_mod(w, l)
-    if len(pivots) != d:
+    if len(pivots) != len(w):
         raise AssertionError("subspace basis is degenerate")
-    b = []
-    for img in images:
-        coords_reduced = [img[c] % l for c in pivots]
-        row = [sum(coords_reduced[j] * t[j][i] for j in range(d)) % l
-               for i in range(d)]
-        b.append(row)
+    # w's reduced form has unit pivot columns, so the coordinates of a vector
+    # in its span are its pivot entries times the transform
+    b = [[x % l for x in row]
+         for row in mat_mul([[img[c] for c in pivots] for img in images], t)]
     # verify (cheap, catches bookkeeping errors)
-    for img, row in zip(images, b):
-        for c in range(k):
-            val = sum(row[j] * w[j][c] for j in range(d)) % l
-            if val != img[c] % l:
-                raise AssertionError("image left the invariant subspace")
+    for img, back in zip(images, mat_mul(b, w)):
+        if any((x - y) % l for x, y in zip(back, img)):
+            raise AssertionError("image left the invariant subspace")
     return b
 
 

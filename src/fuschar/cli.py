@@ -221,6 +221,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point the stdout descriptor at the null device, so the data still
+    buffered for a closed pipe is dropped instead of failing at exit."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # stdout has no descriptor (captured or replaced)
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -228,7 +240,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (say `| head`): the output ends here
+        _discard_stdout()
+        print("error: standard output was closed before the output ended", file=sys.stderr)
+        return EXIT_ERROR
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

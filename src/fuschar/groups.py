@@ -267,36 +267,106 @@ class FiniteGroup:
         return all(x in other.index for x in self.elements)
 
 
+def _digits(code: int, base: int, n: int) -> list[int]:
+    out = []
+    for _ in range(n):
+        code, r = divmod(code, base)
+        out.append(r)
+    return out
+
+
+def _from_digits(digits, base: int) -> int:
+    code = 0
+    for x in reversed(digits):
+        code = code * base + x
+    return code
+
+
+def _perm_codes(degree: int, generators: list):
+    """A permutation's code is its image tuple; g * x maps each image of x
+    through g.  Returns the identity's code, one left-multiplication map per
+    generator, and the decoder."""
+    def left_by(g):
+        images = g.images
+        return lambda x: tuple([images[k] for k in x])
+    return tuple(range(degree)), [left_by(g) for g in generators], Perm
+
+
+def _matrix_codes(generators: list):
+    """A matrix's code is one int whose base-p^d digits are its columns, each
+    column written in base p.  g * x maps each column of x through g's action
+    on F_p^d, one lookup per column in a table filled as columns are first met.
+    Returns the identity's code, one left-multiplication map per generator,
+    and the decoder."""
+    p, dim = generators[0].p, generators[0].dim
+    q = p ** dim
+    shifts = [q ** j for j in range(dim)]
+
+    def left_by(g):
+        rows = g.rows()
+        # tables[j][c]: the code of g * column c, placed as the j-th column
+        tables = [({}, shift) for shift in shifts]
+
+        def image(c: int) -> int:
+            v = _digits(c, p, dim)
+            return _from_digits([sum(a * b for a, b in zip(row, v)) % p for row in rows], p)
+
+        def left(x: int) -> int:
+            out = 0
+            for table, shift in tables:
+                c = x % q
+                x //= q
+                try:
+                    out += table[c]
+                except KeyError:
+                    out += table.setdefault(c, image(c) * shift)
+            return out
+        return left
+
+    columns: dict = {}  # column code -> its entries, shared by the decoded elements
+
+    def decode(x: int) -> FpMat:
+        cols = []
+        for c in _digits(x, q, dim):
+            col = columns.get(c)
+            if col is None:
+                col = columns[c] = _digits(c, p, dim)
+            cols.append(col)
+        return FpMat(p, dim, [v for row in zip(*cols) for v in row])
+
+    identity = _from_digits([p ** j for j in range(dim)], q)
+    return identity, [left_by(g) for g in generators], decode
+
+
 def enumerate_group(generators: list, max_order: int | None = None,
                     designated: dict | None = None) -> FiniteGroup:
-    """Breadth-first closure of the generators, canonically ordered, with the
-    generator actions and the breadth-first tree kept on element positions."""
+    """Breadth-first closure of the generators on integer codes, canonically
+    ordered, with the generator actions and the breadth-first tree kept on
+    element positions.  Elements are decoded once, after the closure."""
     cap = max_order if max_order is not None else DEFAULT_MAX_ORDER
-    if generators:
+    if generators and isinstance(generators[0], FpMat):
         first = generators[0]
-        if isinstance(first, Perm):
-            ident = Perm.identity(len(first.images))
-            if any(len(g.images) != len(first.images) for g in generators):
-                raise ValueError("permutation generators must share a degree")
-        else:
-            ident = FpMat.identity(first.p, first.dim)
-            if any((g.p, g.dim) != (first.p, first.dim) for g in generators):
-                raise ValueError("matrix generators must share dimension and characteristic")
+        if any((g.p, g.dim) != (first.p, first.dim) for g in generators):
+            raise ValueError("matrix generators must share dimension and characteristic")
+        start, steps, decode = _matrix_codes(generators)
     else:
-        ident = Perm.identity(1)
-    # discovery numbers: found[e] is e's place in `found_order`
-    found = {ident: 0}
-    found_order = [ident]
+        degree = len(generators[0].images) if generators else 1
+        if any(len(g.images) != degree for g in generators):
+            raise ValueError("permutation generators must share a degree")
+        start, steps, decode = _perm_codes(degree, generators)
+    # discovery numbers: found[c] is code c's place in `found_order`
+    found = {start: 0}
+    found_order = [start]
     parent = array("i", [-1])
     gen = array("i", [-1])
     act = [array("i") for _ in generators]  # in discovery numbers
-    start = 0
-    while start < len(found_order):
+    first_new = 0
+    while first_new < len(found_order):
         stop = len(found_order)
-        for i, g in enumerate(generators):
+        for i, step in enumerate(steps):
             images = act[i]
-            for d in range(start, stop):
-                y = g * found_order[d]
+            for d in range(first_new, stop):
+                y = step(found_order[d])
                 j = found.get(y)
                 if j is None:
                     j = len(found_order)
@@ -308,10 +378,12 @@ def enumerate_group(generators: list, max_order: int | None = None,
                         raise ValueError(
                             f"group too large: closure exceeded the cap of {cap} elements")
                 images.append(j)
-        start = stop
-    # the discovery-numbered data is freed before `index` is built, to keep
-    # the peak down
-    del found
+        first_new = stop
+    # the discovery-numbered data is freed before `index` is built, and the
+    # codes are decoded in place, to keep the peak down
+    del found, steps
+    for d, c in enumerate(found_order):
+        found_order[d] = decode(c)
     by_pos = sorted(range(len(found_order)), key=lambda d: found_order[d].encoding())
     elements = [found_order[d] for d in by_pos]
     pos = array("i", [0]) * len(by_pos)  # discovery number -> position
@@ -322,6 +394,7 @@ def enumerate_group(generators: list, max_order: int | None = None,
     actions = PositionActions(act, pos,
                               array("i", [pos[parent[d]] if d else -1 for d in by_pos]),
                               array("i", [gen[d] for d in by_pos]))
+    ident = found_order[0]
     del found_order, by_pos
     index = {e: i for i, e in enumerate(elements)}
     return FiniteGroup(list(generators), elements, ident, len(elements), index,

@@ -52,15 +52,28 @@ def resolve_word(word: str, group: FiniteGroup):
     return result
 
 
+def _positive_size(spec: dict, key: str) -> int:
+    size = int(spec[key])
+    if size < 1:
+        raise SpecError(f"{key} = {size} must be at least 1")
+    return size
+
+
+def _integer_entries(i: int, entries) -> None:
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in entries):
+        raise SpecError(f"generator {i} has a non-integer entry")
+
+
 def group_from_spec(spec: dict) -> FiniteGroup:
     kind = spec.get("kind")
     gens = []
     if kind == "permutation":
-        degree = int(spec["degree"])
+        degree = _positive_size(spec, "degree")
         for i, images in enumerate(spec.get("generators", [])):
             if len(images) != degree:
                 raise SpecError(f"generator {i} has length {len(images)}, "
                                 f"expected {degree}")
+            _integer_entries(i, images)
             perm = Perm(images)
             try:
                 perm.validate()
@@ -68,13 +81,14 @@ def group_from_spec(spec: dict) -> FiniteGroup:
                 raise SpecError(f"generator {i}: {exc}") from exc
             gens.append(perm)
     elif kind == "matrix":
-        dim = int(spec["dim"])
+        dim = _positive_size(spec, "dim")
         p = int(spec["char"])
         if not is_prime(p):
             raise SpecError(f"matrix field characteristic char = {p} is not prime")
         for i, rows in enumerate(spec.get("generators", [])):
             if len(rows) != dim or any(len(r) != dim for r in rows):
                 raise SpecError(f"generator {i} is not {dim}x{dim}")
+            _integer_entries(i, [x for row in rows for x in row])
             mat = FpMat.from_rows(p, rows)
             try:
                 mat.validate()

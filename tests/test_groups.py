@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import time
+from array import array
 from itertools import product
 
 import pytest
@@ -36,6 +38,73 @@ def test_enumerate_cyclic_and_trivial():
 def test_cap_exceeded_names_cap():
     with pytest.raises(ValueError, match="cap of 5"):
         enumerate_group([Perm([1, 2, 3, 4, 5, 6, 7, 0])], max_order=5)
+    with pytest.raises(ValueError, match="cap of 47"):
+        enumerate_group(gl2_3().generators, max_order=47)
+    assert enumerate_group(gl2_3().generators, max_order=48).order == 48
+
+
+def _product_closure(generators):
+    """The breadth-first closure on element objects, one element product per
+    generator and element: the oracle for the closure on integer codes.
+    Returns the elements in discovery order, the generator actions, and the
+    parent and generator of each element, all in discovery numbers."""
+    if not generators:
+        ident = Perm.identity(1)
+    elif isinstance(generators[0], Perm):
+        ident = Perm.identity(len(generators[0].images))
+    else:
+        ident = FpMat.identity(generators[0].p, generators[0].dim)
+    found = {ident: 0}
+    found_order = [ident]
+    parent, gen = [-1], [-1]
+    act = [[] for _ in generators]
+    start = 0
+    while start < len(found_order):
+        stop = len(found_order)
+        for i, g in enumerate(generators):
+            for d in range(start, stop):
+                y = g * found_order[d]
+                j = found.get(y)
+                if j is None:
+                    j = found[y] = len(found_order)
+                    found_order.append(y)
+                    parent.append(d)
+                    gen.append(i)
+                act[i].append(j)
+        start = stop
+    return found_order, act, parent, gen
+
+
+def test_closure_on_codes_matches_the_product_closure():
+    cases = [build_group(5, "N_b"), build_group(5, "N_gamma4star"), build_group(3, "N_gamma"),
+             build_group(3, "S"), build_group(5, "S"), gl2_3(), standard_group("SL2_3"),
+             heisenberg_group(5), symmetric_group(5), alternating_group(5),
+             standard_group("D64"), enumerate_group([])]
+    for g in cases:
+        found_order, act, parent, gen = _product_closure(g.generators)
+        by_pos = sorted(range(len(found_order)), key=lambda d: found_order[d].encoding())
+        pos = [0] * len(by_pos)
+        for x, d in enumerate(by_pos):
+            pos[d] = x
+        assert g.elements == [found_order[d] for d in by_pos]
+        assert g.identity == found_order[0]
+        assert g.actions.bfs == array("i", pos)
+        assert g.actions.act == [array("i", [pos[images[d]] for d in by_pos]) for images in act]
+        assert g.actions.parent == array("i", [pos[parent[d]] if d else -1 for d in by_pos])
+        assert g.actions.gen == array("i", [gen[d] for d in by_pos])
+
+
+def test_column_tables_fill_lazily():
+    # 13^6 > 10^6 possible columns; a table of that size per generator and
+    # column would take far longer than the closure of S6
+    def perm_matrix(images):
+        return FpMat(13, 6, [1 if images[j] == i else 0 for i in range(6) for j in range(6)])
+    gens = [perm_matrix([1, 2, 3, 4, 5, 0]), perm_matrix([1, 0, 2, 3, 4, 5])]
+    start = time.perf_counter()
+    g = enumerate_group(gens)
+    assert time.perf_counter() - start < 0.5
+    assert g.order == 720
+    assert all(x.p == 13 and x.dim == 6 for x in g.elements)
 
 
 def test_construction_group_order():

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -36,6 +37,29 @@ def test_bad_generator_named():
                          "generators": [[[1, 0], [0, 1]], [[1, 1], [2, 2]]]})
     with pytest.raises(SpecError, match="kind"):
         group_from_spec({"kind": "banana"})
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "matrix", "dim": 2, "char": 3, "generators": [[[1, 1.5], [0, 1]]]},
+    {"kind": "matrix", "dim": 2, "char": 3, "generators": [[[1, "1"], [0, 1]]]},
+    {"kind": "matrix", "dim": 2, "char": 3, "generators": [[[True, 1], [0, 1]]]},
+    {"kind": "permutation", "degree": 3, "generators": [[1, 2, 0.0]]},
+])
+def test_non_integer_generator_entries_are_rejected(spec):
+    with pytest.raises(SpecError, match="generator 0 has a non-integer entry"):
+        group_from_spec(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "matrix", "dim": 0, "char": 3, "generators": []},
+    {"kind": "matrix", "dim": -1, "char": 3, "generators": []},
+    {"kind": "permutation", "degree": 0, "generators": []},
+    {"kind": "permutation", "degree": -2, "generators": [[]]},
+])
+def test_empty_or_negative_sizes_are_rejected(spec):
+    key = "dim" if spec["kind"] == "matrix" else "degree"
+    with pytest.raises(SpecError, match=f"{key} = {spec[key]} must be at least 1"):
+        group_from_spec(spec)
 
 
 def test_word_resolution():
@@ -201,6 +225,11 @@ def test_cli_spec_boundary_errors_exit_2(tmp_path, capsys):
                                         "generators": [[[1, 1], [0, 1]]]}))
         assert main(["verify-group", "-g", str(bad_char), "-p", "2"]) == 2
         assert f"char = {char} is not prime" in capsys.readouterr().err
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text(json.dumps({"kind": "matrix", "dim": 2, "char": 3,
+                                      "generators": [[[1, 1.5], [0, 1]]]}))
+    assert main(["verify-group", "-g", str(fractional), "-p", "3"]) == 2
+    assert "generator 0 has a non-integer entry" in capsys.readouterr().err
     # C2 at p = 2 with a centralizer order 6: bad class data, not a counterexample
     bad_table = tmp_path / "bad_table.json"
     bad_table.write_text(json.dumps({"mode": "table", "table": {
@@ -263,6 +292,34 @@ def test_cli_crash_exits_2_not_the_counterexample_code(monkeypatch, capsys, exc)
     err = capsys.readouterr().err
     assert err.startswith(f"internal error: {type(exc).__name__}")
     assert "Traceback" in err
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: writing, or only flushing, fails."""
+
+    def __init__(self, fail_on: str) -> None:
+        self.fail_on = fail_on
+
+    def write(self, text):
+        if self.fail_on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        raise io.UnsupportedOperation("fileno")
+
+
+@pytest.mark.parametrize("fail_on", ["write", "flush"])
+def test_cli_closed_stdout_ends_the_output(monkeypatch, capsys, c8_files, fail_on):
+    gpath, _ = c8_files
+    monkeypatch.setattr("sys.stdout", _ClosedPipe(fail_on))
+    assert main(["--format", "json", "verify-group", "-g", gpath, "-p", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_cli_lets_keyboard_interrupt_through(monkeypatch):
