@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, lcm
 
-from .intlinalg import hnf, prime_divisors
+from .intlinalg import hnf, prime_divisors, spec_int
 
 
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -25,18 +25,16 @@ def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _poly_divmod_monic(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Remainder of num by a monic integer polynomial den (in place on a copy)."""
-    num = list(num)
-    dd = len(den) - 1
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
+def _reduce_mod_phi(vec: list[int], e: int) -> None:
+    """Reduce vec modulo the e-th cyclotomic polynomial in place, subtracting
+    only its nonzero lower terms; every entry from deg Phi_e up ends at 0."""
+    deg, tail = _phi_tail(e)
+    for i in range(len(vec) - 1, deg - 1, -1):
+        c = vec[i]
         if c:
-            num[i] = 0
-            for j in range(dd):
-                num[i - dd + j] -= c * den[j]
-    del num[dd:]
-    return num
+            vec[i] = 0
+            for j, d in tail:
+                vec[i + j] -= c * d
 
 
 @lru_cache(maxsize=None)
@@ -71,6 +69,13 @@ def _phi_degree(e: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _phi_tail(e: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """deg Phi_e and the nonzero (j - deg, c_j) below its leading term."""
+    deg = _phi_degree(e)
+    return deg, tuple((j - deg, c) for j, c in enumerate(cyclotomic_polynomial(e)[:deg]) if c)
+
+
+@lru_cache(maxsize=None)
 def _units(e: int) -> tuple[int, ...]:
     return tuple(k for k in range(1, e + 1) if gcd(k, e) == 1)
 
@@ -78,22 +83,20 @@ def _units(e: int) -> tuple[int, ...]:
 class Cyclotomic:
     """An element of Z[zeta_e] in canonical power-basis form."""
 
-    __slots__ = ("order", "coeffs", "_hash")
+    __slots__ = ("order", "coeffs", "_hash", "_terms")
 
     def __init__(self, order: int, coeffs) -> None:
         if order < 1:
             raise ValueError(f"order must be positive, got {order}")
-        vec = [0] * order
-        for i, c in enumerate(coeffs):
-            if c:
-                vec[i % order] += c
-        deg = _phi_degree(order)
-        if any(vec[deg:]):
-            vec = _poly_divmod_monic(vec, cyclotomic_polynomial(order))
-            vec += [0] * (order - len(vec))
+        vec = list(coeffs)
+        if len(vec) != order:  # wrap around: zeta^i = zeta^(i mod order)
+            vec = [sum(vec[r::order]) for r in range(order)]
+        if any(vec[_phi_degree(order):]):
+            _reduce_mod_phi(vec, order)
         self.order = order
         self.coeffs = tuple(vec)
         self._hash = None
+        self._terms = None
 
     @classmethod
     def _make(cls, order: int, canonical_vec: tuple) -> "Cyclotomic":
@@ -102,7 +105,14 @@ class Cyclotomic:
         self.order = order
         self.coeffs = canonical_vec
         self._hash = None
+        self._terms = None
         return self
+
+    def terms(self) -> tuple:
+        """The nonzero (index, coefficient) pairs of `coeffs`, computed once."""
+        if self._terms is None:
+            self._terms = tuple([(i, c) for i, c in enumerate(self.coeffs) if c])
+        return self._terms
 
     # -- constructors ---------------------------------------------------
 
@@ -148,9 +158,8 @@ class Cyclotomic:
             raise ValueError(f"cannot embed order {self.order} into {order}")
         step = order // self.order
         vec = [0] * order
-        for i, c in enumerate(self.coeffs):
-            if c:
-                vec[i * step] = c
+        for i, c in self.terms():
+            vec[i * step] = c
         return Cyclotomic(order, vec)
 
     def _pair(self, other) -> tuple["Cyclotomic", "Cyclotomic"]:
@@ -191,12 +200,10 @@ class Cyclotomic:
         if a is NotImplemented:
             return NotImplemented
         e = a.order
-        terms_b = [(j, c) for j, c in enumerate(b.coeffs) if c]
         out = [0] * e
-        for i, ai in enumerate(a.coeffs):
-            if ai:
-                for j, bj in terms_b:
-                    out[(i + j) % e] += ai * bj
+        for i, ai in a.terms():
+            for j, bj in b.terms():
+                out[(i + j) % e] += ai * bj
         return Cyclotomic(e, out)
 
     __rmul__ = __mul__
@@ -207,9 +214,8 @@ class Cyclotomic:
         if gcd(k, e) != 1:
             raise ValueError(f"galois exponent {k} not coprime to order {e}")
         vec = [0] * e
-        for i, c in enumerate(self.coeffs):
-            if c:
-                vec[(i * k) % e] += c
+        for i, c in self.terms():
+            vec[(i * k) % e] += c
         return Cyclotomic(e, vec)
 
     def conjugate(self) -> "Cyclotomic":
@@ -274,9 +280,7 @@ class Cyclotomic:
         if self.is_rational_integer():
             return str(self.coeffs[0])
         terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
+        for i, c in self.terms():
             if i == 0:
                 terms.append(str(c))
             else:
@@ -291,7 +295,8 @@ class Cyclotomic:
 
     @classmethod
     def from_json(cls, data: dict) -> "Cyclotomic":
-        return cls(int(data["order"]), [int(c) for c in data["coeffs"]])
+        return cls(spec_int(data["order"], "order"),
+                   [spec_int(c, "coeffs") for c in data["coeffs"]])
 
 
 @lru_cache(maxsize=None)
@@ -320,13 +325,9 @@ def exact_div(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
         raise ZeroDivisionError("cyclotomic division by zero")
     if b.is_rational_integer():
         n = b.coeffs[0]
-        out = []
-        for c in a.coeffs:
-            q, r = divmod(c, n)
-            if r:
-                raise ArithmeticError(f"inexact cyclotomic division {a!r} / {n}")
-            out.append(q)
-        return Cyclotomic._make(a.order, tuple(out))
+        if any(c % n for c in a.coeffs):
+            raise ArithmeticError(f"inexact cyclotomic division {a!r} / {n}")
+        return Cyclotomic._make(a.order, tuple([c // n for c in a.coeffs]))
     e = lcm(a.order, b.order)
     a = a.embedded(e)
     b = b.embedded(e)
@@ -336,13 +337,9 @@ def exact_div(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
             cofactor = cofactor * b.galois(k)
     norm = (b * cofactor).rational_value()
     num = a * cofactor
-    out = []
-    for c in num.coeffs:
-        q, r = divmod(c, norm)
-        if r:
-            raise ArithmeticError(f"inexact cyclotomic division {a!r} / {b!r}")
-        out.append(q)
-    return Cyclotomic(e, out)
+    if any(c % norm for c in num.coeffs):
+        raise ArithmeticError(f"inexact cyclotomic division {a!r} / {b!r}")
+    return Cyclotomic(e, [c // norm for c in num.coeffs])
 
 
 def cyclo_dot(weights, xs, ys=None) -> Cyclotomic:
@@ -350,29 +347,30 @@ def cyclo_dot(weights, xs, ys=None) -> Cyclotomic:
     when ys is None.
 
     Terms with a zero weight or value are skipped, and e is the lcm of the
-    orders of the rest.  Every product is accumulated unreduced modulo
-    x^e - 1: zeta_o^i is index i * (e / o) and its conjugate index
-    -i * (e / o) mod e.  The sum is reduced modulo Phi_e once, at the end.
+    orders of the rest.  Only nonzero coefficients (`terms()`) are walked.
+    Every product is accumulated unreduced modulo x^e - 1: zeta_o^i is index
+    i * (e / o) and its conjugate index -i * (e / o) mod e.  The sum is
+    reduced modulo Phi_e once, at the end.
     """
     if ys is None:
-        terms = [(w, x, None) for w, x in zip(weights, xs) if w and any(x.coeffs)]
-        e = lcm(1, *(x.order for _, x, _ in terms))
-    else:
-        terms = [(w, x, y) for w, x, y in zip(weights, xs, ys)
-                 if w and any(x.coeffs) and any(y.coeffs)]
-        e = lcm(1, *(x.order for _, x, _ in terms), *(y.order for _, _, y in terms))
-    acc = [0] * e
+        terms = [(w, x) for w, x in zip(weights, xs) if w and x.terms()]
+        e = lcm(1, *(x.order for _, x in terms))
+        acc = [0] * e
+        for w, x in terms:
+            step = e // x.order
+            for i, c in x.terms():
+                acc[i * step] += w * c
+        return Cyclotomic(e, acc)
+    terms = [(w, x, y) for w, x, y in zip(weights, xs, ys) if w and x.terms() and y.terms()]
+    e = lcm(1, *(x.order for _, x, _ in terms), *(y.order for _, _, y in terms))
+    acc = [0] * (2 * e)  # index i + j for i, j < e; folded modulo x^e - 1 below
     for w, x, y in terms:
-        step = e // x.order
-        xt = [(i * step, w * c) for i, c in enumerate(x.coeffs) if c]
-        if y is None:
-            for i, c in xt:
-                acc[i] += c
-            continue
         step = e // y.order
-        for j, d in enumerate(y.coeffs):
-            if d:
-                shift = e - j * step
-                for i, c in xt:
-                    acc[(i + shift) % e] += c * d
-    return Cyclotomic(e, acc)
+        conj_y = [(-j * step % e, d) for j, d in y.terms()]
+        step = e // x.order
+        for i, c in x.terms():
+            i *= step
+            c *= w
+            for j, d in conj_y:
+                acc[i + j] += c * d
+    return Cyclotomic(e, [a + b for a, b in zip(acc, acc[e:])])

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from .cyclotomic import Cyclotomic
 from .groups import FiniteGroup, class_fusion_map, conjugacy_classes
-from .intlinalg import is_prime, p_part
+from .intlinalg import is_prime, p_part, spec_int
 
 
 @dataclass(frozen=True)
@@ -234,13 +234,15 @@ class TableFusion:
     @classmethod
     def from_json(cls, data: dict) -> "TableFusion":
         return cls(
-            p=int(data["p"]),
-            group_order=int(data["group_order"]),
+            p=spec_int(data["p"], "p"),
+            group_order=spec_int(data["group_order"], "group_order"),
             labels=[str(x) for x in data["labels"]],
-            class_sizes=[int(x) for x in data["class_sizes"]],
-            centralizer_orders=[int(x) for x in data["centralizer_orders"]],
+            class_sizes=[spec_int(x, "class_sizes") for x in data["class_sizes"]],
+            centralizer_orders=[spec_int(x, "centralizer_orders")
+                                for x in data["centralizer_orders"]],
             basis_values=[[Cyclotomic.from_json(v) for v in row]
                           for row in data["basis_values"]],
-            merge_groups=[[int(j) for j in g] for g in data["merge_groups"]],
+            merge_groups=[[spec_int(j, "merge_groups") for j in g]
+                          for g in data["merge_groups"]],
             name=str(data.get("name", "table-mode")),
         )

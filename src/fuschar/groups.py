@@ -8,6 +8,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from math import lcm
+from operator import eq
 
 from .intlinalg import is_prime, p_part, rref_mod
 
@@ -220,30 +221,22 @@ class PositionActions:
             out = array("i", [images[x] for x in out])
         return out
 
-    def powers(self, h: int) -> list[int]:
-        """Positions of elements[h] ** r for r below the order of elements[h]."""
-        word = self.word(h)
-        out = [self.bfs[0]]
-        x = h
-        for _ in self.bfs:
-            if x == out[0]:
-                return out
-            out.append(x)
-            for images in word:
-                x = images[x]
-        raise AssertionError("the powers of an element never return to the identity")
-
-    def conjugations(self) -> list[array]:
-        """For each generator g, the position of g * elements[x] * g^-1."""
-        n = len(self.bfs)
+    def right_by_inverses(self) -> list[array]:
+        """For each generator g, the position of elements[x] * g^-1: the
+        inverse permutation of right multiplication by g."""
         maps = []
         for images in self.act:
-            by_g = self.right(images[self.bfs[0]])
-            undo = array("i", [0]) * n  # right multiplication by g^-1
-            for x, y in enumerate(by_g):
+            undo = array("i", [0]) * len(self.bfs)
+            for x, y in enumerate(self.right(images[self.bfs[0]])):
                 undo[y] = x
-            maps.append(array("i", [images[y] for y in undo]))
+            maps.append(undo)
         return maps
+
+    def conjugations(self, undo: list | None = None) -> list[array]:
+        """For each generator g, the position of g * elements[x] * g^-1, from
+        `undo = right_by_inverses()`."""
+        return [array("i", [images[y] for y in by_inv])
+                for images, by_inv in zip(self.act, undo or self.right_by_inverses())]
 
 
 @dataclass
@@ -423,20 +416,43 @@ class ConjugacyClassSet:
 CENTRALIZER_CHECK_LIMIT = 1000
 
 
+def _checked_powers(actions: PositionActions, inv: array, rep: int, cent: int | None) -> list:
+    """Positions of rep ** r for r below its order, walked along x -> x*rep
+    from the identity.  Unless cent is None, first checks by direct count that
+    cent elements x have x*rep = rep*x: with f(x) = x^-1 * rep, f(f(x)) is
+    rep^-1 * x * rep."""
+    by_rep = actions.right(rep).tolist()
+    if cent is not None:
+        f = list(map(by_rep.__getitem__, inv))
+        if sum(map(eq, map(f.__getitem__, f), range(len(f)))) != cent:
+            raise AssertionError("orbit-stabilizer centralizer order failed direct count")
+    one = actions.bfs[0]
+    pw = [one]
+    while by_rep[pw[-1]] != one:
+        if len(pw) == len(by_rep):
+            raise AssertionError("the powers of an element never return to the identity")
+        pw.append(by_rep[pw[-1]])
+    return pw
+
+
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassSet:
     """Orbit algorithm under conjugation by the generators, on positions.
 
     Centralizer orders come from orbit-stabilizer and are cross-checked by a
     direct count of the positions where x*rep and rep*x agree, for classes of
-    size <= CENTRALIZER_CHECK_LIMIT.  The power map walks each representative's
-    powers along its word in the generators.
+    size <= CENTRALIZER_CHECK_LIMIT, read off right multiplication by rep and
+    one inverse map of the group.  The power map walks x -> x*rep from the
+    identity.
     """
     if G._classes is not None:
         return G._classes
     n = G.order
     actions = G.actions
     actions.check()
-    conj = actions.conjugations()
+    undo = actions.right_by_inverses()
+    conj = actions.conjugations(undo)
+    inv = actions.along_tree(actions.bfs[0], undo)  # x = g*y gives x^-1 = y^-1 * g^-1
+    del undo  # one array of |G| entries per generator, not needed past here
     assigned = [-1] * n
     raw = []
     for start in range(n):
@@ -465,14 +481,10 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassSet:
         if G.order % size:
             raise AssertionError("class size must divide the group order")
         cent = G.order // size
-        if size <= CENTRALIZER_CHECK_LIMIT:
-            pairs = zip(actions.right(rep_pos), actions.left(rep_pos, range(n)))
-            direct = sum(1 for a, b in pairs if a == b)
-            if direct != cent:
-                raise AssertionError(
-                    "orbit-stabilizer centralizer order failed direct count")
-        powers.append(actions.powers(rep_pos))
-        infos.append(ConjClass(rep, size, cent, len(powers[-1]), frozenset(members)))
+        pw = _checked_powers(actions, inv, rep_pos,
+                             cent if size <= CENTRALIZER_CHECK_LIMIT else None)
+        powers.append(pw)
+        infos.append(ConjClass(rep, size, cent, len(pw), frozenset(members)))
     order = sorted(range(len(infos)),
                    key=lambda i: (infos[i].size, infos[i].rep_order,
                                   infos[i].rep.encoding()))

@@ -14,6 +14,14 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 
+def spec_int(value, what: str) -> int:
+    """An integer read from JSON: an int or a decimal string, never a float
+    or a bool, which int() would truncate or accept."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 

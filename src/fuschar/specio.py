@@ -16,7 +16,7 @@ import re
 
 from .fusion import FusionData, TableFusion, apply_merges, fusion_from_group
 from .groups import FiniteGroup, FpMat, Perm, enumerate_group, sylow_subgroup
-from .intlinalg import is_prime
+from .intlinalg import is_prime, spec_int
 
 
 class SpecError(ValueError):
@@ -53,7 +53,7 @@ def resolve_word(word: str, group: FiniteGroup):
 
 
 def _positive_size(spec: dict, key: str) -> int:
-    size = int(spec[key])
+    size = spec_int(spec[key], key)
     if size < 1:
         raise SpecError(f"{key} = {size} must be at least 1")
     return size
@@ -82,7 +82,7 @@ def group_from_spec(spec: dict) -> FiniteGroup:
             gens.append(perm)
     elif kind == "matrix":
         dim = _positive_size(spec, "dim")
-        p = int(spec["char"])
+        p = spec_int(spec["char"], "char")
         if not is_prime(p):
             raise SpecError(f"matrix field characteristic char = {p} is not prime")
         for i, rows in enumerate(spec.get("generators", [])):
@@ -114,7 +114,7 @@ def fusion_from_spec(spec: dict):
     if mode != "group":
         raise SpecError(f"unknown fusion mode {mode!r}")
     group = group_from_spec(spec["group"])
-    p = int(spec["p"])
+    p = spec_int(spec["p"], "p")
     if "S" in spec:
         s_gens = [resolve_word(w, group) for w in spec["S"]]
         s = enumerate_group(s_gens, max_order=group.order)

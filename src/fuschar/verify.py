@@ -58,9 +58,13 @@ class VerificationReport:
 
 def _x_matrix(coeff_rows, value_rows, cols) -> list[list[Cyclotomic]]:
     """X[i][j] = sum_c coeff_rows[i][c] * value_rows[c][cols[j]], evaluated
-    only at the listed columns."""
-    columns = [[values[j] for values in value_rows] for j in cols]
-    return [[cyclo_dot(coeffs, column) for column in columns] for coeffs in coeff_rows]
+    only at the listed columns.  Each row drops its zero coefficients once."""
+    out = []
+    for coeffs in coeff_rows:
+        used = [c for c, w in enumerate(coeffs) if w]
+        weights = [coeffs[c] for c in used]
+        out.append([cyclo_dot(weights, [value_rows[c][j] for c in used]) for j in cols])
+    return out
 
 
 def character_table_matrix(lattice: StableLattice, fusion: FusionData) -> list[list[Cyclotomic]]:

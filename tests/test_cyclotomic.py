@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from fuschar.cyclotomic import Cyclotomic, cyclo_dot, cyclotomic_polynomial, exact_div
+from math import lcm
+
+from fuschar.cyclotomic import (
+    Cyclotomic,
+    _reduce_mod_phi,
+    cyclo_dot,
+    cyclotomic_polynomial,
+    exact_div,
+)
 
 
 def z(e, k=1):
@@ -124,3 +132,107 @@ def test_cyclo_dot_matches_the_operator_loop():
     # the sum lives at the lcm of the orders of its nonzero terms
     assert cyclo_dot([1, 0, 5], [z(3), z(8), Cyclotomic(9, [0])], [z(4), z(5), z(7)]).order == 12
     assert cyclo_dot([], []) == 0
+
+
+# -- dense oracles: every coefficient slot is walked, zeros included --------
+
+
+def dense_reduce(num: list[int], e: int) -> list[int]:
+    """Remainder of num modulo Phi_e by schoolbook division over all of its
+    coefficients; length deg Phi_e."""
+    den = cyclotomic_polynomial(e)
+    num = list(num)
+    dd = len(den) - 1
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i]
+        if c:
+            num[i] = 0
+            for j in range(dd):
+                num[i - dd + j] -= c * den[j]
+    return num[:dd] + [0] * (dd - len(num))
+
+
+def dense_cyclo_dot(weights, xs, ys=None) -> tuple[int, tuple[int, ...]]:
+    """(order, canonical coefficients) of sum w x conj(y), or of sum w x."""
+    if ys is None:
+        ys = [None] * len(xs)
+    terms = [(w, x, y) for w, x, y in zip(weights, xs, ys)
+             if w and any(x.coeffs) and (y is None or any(y.coeffs))]
+    e = lcm(1, *(v.order for _, x, y in terms for v in (x, y) if v is not None))
+    acc = [0] * e
+    for w, x, y in terms:
+        step = e // x.order
+        xt = [(i * step, w * c) for i, c in enumerate(x.coeffs) if c]
+        if y is None:
+            for i, c in xt:
+                acc[i] += c
+            continue
+        step = e // y.order
+        for j, d in enumerate(y.coeffs):
+            if d:
+                for i, c in xt:
+                    acc[(i - j * step) % e] += c * d
+    low = dense_reduce(acc, e)
+    return e, tuple(low + [0] * (e - len(low)))
+
+
+def test_sparse_reduction_matches_the_dense_one():
+    rng = random.Random(128)
+    for e in range(1, 129):
+        deg = len(cyclotomic_polynomial(e)) - 1
+        for length in (e, 2 * e - 1):
+            vec = [rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(length)]
+            vec[-1] = 1
+            sparse = list(vec)
+            _reduce_mod_phi(sparse, e)
+            assert sparse[:deg] == dense_reduce(vec, e), e
+            assert not any(sparse[deg:]), e
+
+
+def test_cyclo_dot_matches_the_dense_oracle():
+    rng = random.Random(64)
+    orders = (1, 2, 3, 4, 5, 8, 12, 27, 59, 60, 61, 62, 64)
+
+    def value(e):
+        if rng.random() < 0.15:
+            return Cyclotomic(e, [0])
+        if rng.random() < 0.5:
+            return Cyclotomic.root_of_unity(e, rng.randrange(e)) * rng.randint(-3, 3)
+        return Cyclotomic(e, [rng.choice([0, 0, 0, rng.randint(-4, 4)]) for _ in range(e)])
+
+    for trial in range(300):
+        e = rng.choice(orders)
+        # one order, the divisors of one order, or small orders with lcm 360
+        pool = [[e], [d for d in range(1, e + 1) if e % d == 0], [3, 4, 5, 8, 9, 12]][trial % 3]
+        n = rng.randint(0, 12)
+        weights = [rng.choice([0, rng.randint(-9, 9)]) for _ in range(n)]
+        xs = [value(rng.choice(pool)) for _ in range(n)]
+        ys = [value(rng.choice(pool)) for _ in range(n)]
+        for args in ((weights, xs, ys), (weights, xs)):
+            got = cyclo_dot(*args)
+            assert (got.order, got.coeffs) == dense_cyclo_dot(*args), args
+    for e in range(1, 65):
+        xs = [Cyclotomic.root_of_unity(e, k) for k in range(e)]
+        got = cyclo_dot(range(1, e + 1), xs, xs)
+        assert (got.order, got.coeffs) == dense_cyclo_dot(range(1, e + 1), xs, xs)
+
+
+def test_terms_are_the_nonzero_coefficients():
+    rng = random.Random(5)
+    for e in (1, 6, 27, 59, 64):
+        for _ in range(20):
+            a = random_cyclo(rng, e)
+            for v in (a, a + a, -a, a * 0, a.conjugate(), a.embedded(2 * e)):
+                assert v.terms() == tuple((i, c) for i, c in enumerate(v.coeffs) if c)
+
+
+def test_constructor_wraps_other_lengths_modulo_the_order():
+    rng = random.Random(9)
+    for e in (1, 5, 8, 12, 61):
+        for length in (0, 1, e - 1, e + 1, 3 * e + 2):
+            vec = [rng.randint(-5, 5) for _ in range(length)]
+            wrapped = [sum(vec[i::e]) for i in range(e)]
+            assert Cyclotomic(e, vec).coeffs == Cyclotomic(e, wrapped).coeffs
+            assert Cyclotomic(e, iter(vec)).coeffs == Cyclotomic(e, wrapped).coeffs
+            assert Cyclotomic(e, (c for c in vec)).coeffs == Cyclotomic(e, wrapped).coeffs
+    assert Cyclotomic(5, [0] * 7 + [1]) == Cyclotomic.root_of_unity(5, 2)

@@ -12,6 +12,7 @@ from fuschar.constructions import build_group
 from fuschar.groups import (
     FpMat,
     Perm,
+    PositionActions,
     alternating_group,
     class_fusion_map,
     conjugacy_classes,
@@ -236,6 +237,22 @@ def test_fpmat_inverse_and_singular_matrices():
     assert seen_singular and seen_invertible
 
 
+def _powers_along_word(actions, h: int) -> list[int]:
+    """Positions of elements[h] ** r for r below its order, each power formed
+    by left multiplication along h's word in the generators: the oracle for
+    the power map that conjugacy_classes reads off right(h)."""
+    word = actions.word(h)
+    out = [actions.bfs[0]]
+    x = h
+    for _ in actions.bfs:
+        if x == out[0]:
+            return out
+        out.append(x)
+        for images in word:
+            x = images[x]
+    raise AssertionError("the powers of an element never return to the identity")
+
+
 def test_position_actions_agree_with_element_products():
     for g in (enumerate_group([]), symmetric_group(4), gl2_3(), heisenberg_group(5),
               standard_group("D16")):
@@ -249,11 +266,16 @@ def test_position_actions_agree_with_element_products():
             powers = [idx[g.identity]]
             while els[powers[-1]] * y != g.identity:
                 powers.append(idx[els[powers[-1]] * y])
-            assert actions.powers(h) == powers
+            assert _powers_along_word(actions, h) == powers
+        undo = actions.right_by_inverses()
+        assert actions.conjugations(undo) == actions.conjugations()
         conj = actions.conjugations()
         for i, gen in enumerate(g.generators):
             gen_inv = gen.inverse()
+            assert undo[i].tolist() == [idx[x * gen_inv] for x in els]
             assert conj[i].tolist() == [idx[gen * x * gen_inv] for x in els]
+        inverses = actions.along_tree(actions.bfs[0], undo)
+        assert inverses.tolist() == [idx[x.inverse()] for x in els]
 
 
 def _classes_sha256(g) -> str:
@@ -285,6 +307,8 @@ def test_class_power_map_agrees_with_element_powers():
             assert len(powers) == c.rep_order
             assert (c.rep ** c.rep_order).is_identity()
             assert powers == tuple(cc.class_index_of(g, c.rep ** r) for r in range(c.rep_order))
+            word_powers = _powers_along_word(g.actions, g.index[c.rep])
+            assert powers == tuple(cc.class_of[x] for x in word_powers)
 
 
 def _table_sha256(g) -> str:
@@ -317,3 +341,15 @@ def test_a_corrupted_generator_action_is_rejected():
     with pytest.raises(AssertionError, match="not a permutation"):
         conjugacy_classes(g)
     assert g._classes is None
+
+
+def test_the_direct_centralizer_count_catches_a_missing_conjugation(monkeypatch):
+    # orbits under all but one generator split classes, so orbit-stabilizer
+    # centralizer orders go wrong and only the direct count can notice
+    conjugations = PositionActions.conjugations
+    monkeypatch.setattr(PositionActions, "conjugations",
+                        lambda self, *args: conjugations(self, *args)[:-1])
+    for g in (symmetric_group(4), gl2_3(), standard_group("D16")):
+        with pytest.raises(AssertionError, match="failed direct count"):
+            conjugacy_classes(g)
+        assert g._classes is None

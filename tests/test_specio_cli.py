@@ -239,6 +239,34 @@ def test_cli_spec_boundary_errors_exit_2(tmp_path, capsys):
                          for row in ([1, 1], [1, -1])]}}))
     assert main(["verify-fusion", "-f", str(bad_table)]) == 2
     assert "centralizer order 6 is not a power of p = 2" in capsys.readouterr().err
+    # a float or a bool is not truncated into an integer; decimal strings still read
+    group_mode = {"group": C8_SPEC, "p": 2}
+    c2_table = {"p": 2, "group_order": 2, "labels": ["1", "a"], "class_sizes": [1, 1],
+                "centralizer_orders": [2, 2], "merge_groups": [],
+                "basis_values": [[{"order": 1, "coeffs": [str(v)]} for v in row]
+                                 for row in ([1, 1], [1, -1])]}
+    inexact = [({**group_mode, "p": 2.5}, "p must be an integer"),
+               ({**group_mode, "p": True}, "p must be an integer"),
+               ({"group": {**C8_SPEC, "degree": 8.0}, "p": 2}, "degree must be an integer")]
+    for key, value in (("p", 2.5), ("group_order", 2.0), ("class_sizes", [1, 1.0]),
+                       ("centralizer_orders", [2.9, 2]), ("merge_groups", [[0, True]])):
+        inexact.append(({"mode": "table", "table": {**c2_table, key: value}},
+                        f"{key} must be an integer"))
+    for field, value in (("coeffs", -1.7), ("order", 1.0)):
+        bad_value = {"order": 1, "coeffs": ["1"], field: value if field == "order" else [value]}
+        values = [[bad_value, c2_table["basis_values"][0][1]], c2_table["basis_values"][1]]
+        inexact.append(({"mode": "table", "table": {**c2_table, "basis_values": values}},
+                        f"{field} must be an integer"))
+    for i, (spec, message) in enumerate(inexact):
+        path = tmp_path / f"inexact{i}.json"
+        path.write_text(json.dumps(spec))
+        assert main(["verify-fusion", "-f", str(path)]) == 2, spec
+        assert message in capsys.readouterr().err, spec
+    for i, spec in enumerate((group_mode, {"mode": "table", "table": c2_table})):
+        path = tmp_path / f"exact{i}.json"
+        path.write_text(json.dumps(spec))
+        assert main(["verify-fusion", "-f", str(path)]) == 0, spec
+    capsys.readouterr()
 
 
 def test_paper_exotic_error_verdict_exits_2(monkeypatch, capsys):
