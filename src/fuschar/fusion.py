@@ -117,7 +117,7 @@ def apply_merges(base: FusionData, merges: list[tuple]) -> FusionData:
 
     sc = conjugacy_classes(base.S)
     for a, b in merges:
-        if a not in base.S.index or b not in base.S.index:
+        if a not in base.S or b not in base.S:
             raise ValueError("merge elements must lie in S")
         # a ** r lies in the S-class of rep ** r, for rep the representative of a's class
         pa, pb = (sc.powers[sc.class_index_of(base.S, x)] for x in (a, b))

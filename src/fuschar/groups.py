@@ -6,7 +6,8 @@ class fusion inside an overgroup.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from operator import eq
 
@@ -239,16 +240,46 @@ class PositionActions:
                 for images, by_inv in zip(self.act, undo or self.right_by_inverses())]
 
 
-@dataclass
+class ElementIndex:
+    """`G.index`: element -> position, looked up by the element's code, which
+    `encode` gives as None for an element of another kind, p, dim or degree."""
+
+    __slots__ = ("position", "encode")
+
+    def __init__(self, position: dict, encode) -> None:
+        self.position = position
+        self.encode = encode
+
+    def __getitem__(self, x) -> int:
+        return self.position[self.encode(x)]
+
+    def __contains__(self, x) -> bool:
+        return self.encode(x) in self.position
+
+
 class FiniteGroup:
-    generators: list
-    elements: list
-    identity: object
-    order: int
-    index: dict = field(repr=False)
-    _classes: object = field(default=None, repr=False)
-    designated: dict = field(default_factory=dict, repr=False)
-    actions: PositionActions = field(default=None, repr=False)
+    """A group enumerated from generators, its elements held as integer codes
+    in canonical order; element objects are decoded only where asked for."""
+
+    def __init__(self, generators: list, codes: list, index: ElementIndex, decode,
+                 designated: dict, actions: PositionActions) -> None:
+        self.generators = generators
+        self.codes = codes
+        self.index = index
+        self.decode = decode
+        self.order = len(codes)
+        self.identity = decode(codes[actions.bfs[0]])
+        self.designated = designated
+        self.actions = actions
+        self._classes = None
+
+    @cached_property
+    def elements(self) -> list:
+        """Every element in canonical order, decoded on first access."""
+        return list(map(self.decode, self.codes))
+
+    def element(self, x: int):
+        return self.decode(self.codes[x])
 
     def __contains__(self, x) -> bool:
         return x in self.index
@@ -257,7 +288,8 @@ class FiniteGroup:
         return lcm(*(c.rep_order for c in conjugacy_classes(self).classes))
 
     def is_subgroup_of(self, other: "FiniteGroup") -> bool:
-        return all(x in other.index for x in self.elements)
+        # elements of one kind share their codes, and the identity tells kinds apart
+        return self.identity in other and all(map(other.index.position.__contains__, self.codes))
 
 
 def _digits(code: int, base: int, n: int) -> list[int]:
@@ -268,85 +300,89 @@ def _digits(code: int, base: int, n: int) -> list[int]:
     return out
 
 
-def _from_digits(digits, base: int) -> int:
-    code = 0
-    for x in reversed(digits):
-        code = code * base + x
-    return code
-
-
 def _perm_codes(degree: int, generators: list):
-    """A permutation's code is its image tuple; g * x maps each image of x
-    through g.  Returns the identity's code, one left-multiplication map per
-    generator, and the decoder."""
+    """A permutation's code is its image tuple, ordered like `encoding()`;
+    g * x maps each image of x through g.  Returns the identity's code, one
+    left-multiplication map per generator, the sort key, encoder and decoder."""
     def left_by(g):
         images = g.images
         return lambda x: tuple([images[k] for k in x])
-    return tuple(range(degree)), [left_by(g) for g in generators], Perm
+
+    def encode(x):  # an image tuple of another degree is no code of this group
+        return x.images if isinstance(x, Perm) else None
+    return tuple(range(degree)), [left_by(g) for g in generators], None, encode, Perm
+
+
+def _column_sum(q: int, fills: list):
+    """x -> the sum over places j of fills[j](the j-th base-q digit of x), each
+    fill memoised in a table filled as digits are first met."""
+    tables = [({}, fill) for fill in fills]
+
+    def total(x: int) -> int:
+        out = 0
+        for table, fill in tables:
+            c = x % q
+            x //= q
+            try:
+                out += table[c]
+            except KeyError:
+                out += table.setdefault(c, fill(c))
+        return out
+    return total
 
 
 def _matrix_codes(generators: list):
     """A matrix's code is one int whose base-p^d digits are its columns, each
     column written in base p.  g * x maps each column of x through g's action
-    on F_p^d, one lookup per column in a table filled as columns are first met.
-    Returns the identity's code, one left-multiplication map per generator,
-    and the decoder."""
+    on F_p^d, and the sort key weighs its entries by their row-major places,
+    to order like `encoding()`: each one lookup per column in a table filled
+    as columns are first met.  Returns as `_perm_codes` does."""
     p, dim = generators[0].p, generators[0].dim
     q = p ** dim
-    shifts = [q ** j for j in range(dim)]
+    # weights[i*dim + j]: the place of entry (i, j) in the code
+    weights = [p ** (i + dim * j) for i in range(dim) for j in range(dim)]
 
     def left_by(g):
         rows = g.rows()
-        # tables[j][c]: the code of g * column c, placed as the j-th column
-        tables = [({}, shift) for shift in shifts]
 
         def image(c: int) -> int:
             v = _digits(c, p, dim)
-            return _from_digits([sum(a * b for a, b in zip(row, v)) % p for row in rows], p)
+            return sum(sum(map(int.__mul__, row, v)) % p * p ** i for i, row in enumerate(rows))
+        # column j of g * x is g times column j of x
+        return _column_sum(q, [lambda c, s=q ** j: image(c) * s for j in range(dim)])
 
-        def left(x: int) -> int:
-            out = 0
-            for table, shift in tables:
-                c = x % q
-                x //= q
-                try:
-                    out += table[c]
-                except KeyError:
-                    out += table.setdefault(c, image(c) * shift)
-            return out
-        return left
+    def row_major(c: int, j: int) -> int:
+        last = dim * dim - 1
+        return sum(v * p ** (last - i * dim - j) for i, v in enumerate(_digits(c, p, dim)))
 
-    columns: dict = {}  # column code -> its entries, shared by the decoded elements
+    def encode(x):
+        if not (isinstance(x, FpMat) and x.p == p and x.dim == dim):
+            return None
+        return sum(map(int.__mul__, x.entries, weights))
 
     def decode(x: int) -> FpMat:
-        cols = []
-        for c in _digits(x, q, dim):
-            col = columns.get(c)
-            if col is None:
-                col = columns[c] = _digits(c, p, dim)
-            cols.append(col)
-        return FpMat(p, dim, [v for row in zip(*cols) for v in row])
+        return FpMat(p, dim, [x // w % p for w in weights])
 
-    identity = _from_digits([p ** j for j in range(dim)], q)
-    return identity, [left_by(g) for g in generators], decode
+    order_key = _column_sum(q, [lambda c, j=j: row_major(c, j) for j in range(dim)])
+    return sum(weights[::dim + 1]), [left_by(g) for g in generators], order_key, encode, decode
 
 
 def enumerate_group(generators: list, max_order: int | None = None,
                     designated: dict | None = None) -> FiniteGroup:
-    """Breadth-first closure of the generators on integer codes, canonically
-    ordered, with the generator actions and the breadth-first tree kept on
-    element positions.  Elements are decoded once, after the closure."""
+    """Breadth-first closure of the generators on integer codes, sorted into
+    the canonical order, with the generator actions and the breadth-first
+    tree kept on element positions.  No element is decoded here."""
     cap = max_order if max_order is not None else DEFAULT_MAX_ORDER
     if generators and isinstance(generators[0], FpMat):
         first = generators[0]
         if any((g.p, g.dim) != (first.p, first.dim) for g in generators):
             raise ValueError("matrix generators must share dimension and characteristic")
-        start, steps, decode = _matrix_codes(generators)
+        start, steps, order_key, encode, decode = _matrix_codes(generators)
     else:
         degree = len(generators[0].images) if generators else 1
         if any(len(g.images) != degree for g in generators):
             raise ValueError("permutation generators must share a degree")
-        start, steps, decode = _perm_codes(degree, generators)
+        start, steps, order_key, encode, decode = _perm_codes(degree, generators)
     # discovery numbers: found[c] is code c's place in `found_order`
     found = {start: 0}
     found_order = [start]
@@ -372,26 +408,22 @@ def enumerate_group(generators: list, max_order: int | None = None,
                             f"group too large: closure exceeded the cap of {cap} elements")
                 images.append(j)
         first_new = stop
-    # the discovery-numbered data is freed before `index` is built, and the
-    # codes are decoded in place, to keep the peak down
-    del found, steps
-    for d, c in enumerate(found_order):
-        found_order[d] = decode(c)
-    by_pos = sorted(range(len(found_order)), key=lambda d: found_order[d].encoding())
-    elements = [found_order[d] for d in by_pos]
-    pos = array("i", [0]) * len(by_pos)  # discovery number -> position
+    del steps
+    codes = found_order  # sorted in place into the canonical order
+    codes.sort(key=order_key)
+    by_pos = array("i", map(found.__getitem__, codes))  # position -> discovery number
+    pos = array("i", [0]) * len(codes)  # discovery number -> position
     for x, d in enumerate(by_pos):
         pos[d] = x
+    for x, c in enumerate(codes):  # `found` now maps each code to its position
+        found[c] = x
     for i, images in enumerate(act):
-        act[i] = array("i", [pos[images[d]] for d in by_pos])
+        act[i] = array("i", map(pos.__getitem__, map(images.__getitem__, by_pos)))
     actions = PositionActions(act, pos,
                               array("i", [pos[parent[d]] if d else -1 for d in by_pos]),
-                              array("i", [gen[d] for d in by_pos]))
-    ident = found_order[0]
-    del found_order, by_pos
-    index = {e: i for i, e in enumerate(elements)}
-    return FiniteGroup(list(generators), elements, ident, len(elements), index,
-                       designated=dict(designated or {}), actions=actions)
+                              array("i", map(gen.__getitem__, by_pos)))
+    return FiniteGroup(list(generators), codes, ElementIndex(found, encode), decode,
+                       dict(designated or {}), actions)
 
 
 @dataclass(frozen=True)
@@ -476,7 +508,6 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassSet:
     infos, powers = [], []
     for members in raw:
         rep_pos = min(members)
-        rep = G.elements[rep_pos]
         size = len(members)
         if G.order % size:
             raise AssertionError("class size must divide the group order")
@@ -484,10 +515,10 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassSet:
         pw = _checked_powers(actions, inv, rep_pos,
                              cent if size <= CENTRALIZER_CHECK_LIMIT else None)
         powers.append(pw)
-        infos.append(ConjClass(rep, size, cent, len(pw), frozenset(members)))
+        infos.append(ConjClass(G.element(rep_pos), size, cent, len(pw), frozenset(members)))
+    # positions follow `encoding()`, so the least position is the least encoding
     order = sorted(range(len(infos)),
-                   key=lambda i: (infos[i].size, infos[i].rep_order,
-                                  infos[i].rep.encoding()))
+                   key=lambda i: (infos[i].size, infos[i].rep_order, min(raw[i])))
     relabel = {old: new for new, old in enumerate(order)}
     classes = tuple(infos[i] for i in order)
     class_of = tuple(relabel[assigned[pos]] for pos in range(n))
@@ -499,7 +530,7 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassSet:
 
 def subgroup(G: FiniteGroup, gens: list) -> FiniteGroup:
     for g in gens:
-        if g not in G.index:
+        if g not in G:
             raise ValueError("subgroup generators must lie in the ambient group")
     return enumerate_group(gens, max_order=G.order)
 
@@ -528,7 +559,7 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> FiniteGroup:
     gens = [best]
     P = enumerate_group(gens, max_order=G.order)
     while P.order < target:
-        pset = {G.index[y] for y in P.elements}
+        pset = set(map(G.index.position.__getitem__, P.codes))
         # x -> x g x^-1 for each generator g of P
         conjugates = [actions.along_tree(G.index[g], conj) for g in gens]
         ext = next((x for x in range(G.order)
@@ -536,7 +567,7 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> FiniteGroup:
                     and all(c[x] in pset for c in conjugates)), None)
         if ext is None:
             raise AssertionError("Sylow extension step found no normalizing p-element")
-        gens.append(G.elements[ext])
+        gens.append(G.element(ext))
         P = enumerate_group(gens, max_order=G.order)
     return P
 

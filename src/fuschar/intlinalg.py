@@ -291,21 +291,12 @@ def det_exact(matrix: list[list]):
         def is_zero(v):
             return v.is_zero()
 
-        def div(x, y):
-            return exact_div(x, y)
-
         prev: object = Cyclotomic.one()
     else:
         a = [list(r) for r in matrix]
 
         def is_zero(v):
             return v == 0
-
-        def div(x, y):
-            q, r = divmod(x, y)
-            if r:
-                raise ArithmeticError("inexact division in Bareiss elimination")
-            return q
 
         prev = 1
     sign = 1
@@ -316,12 +307,18 @@ def det_exact(matrix: list[list]):
                 return Cyclotomic.zero() if cyclo else 0
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
+        ak = a[k]
+        akk = ak[k]
+        for ai in a[k + 1:]:
+            aik = ai[k]
             for j in range(k + 1, n):
-                a[i][j] = div(a[i][j] * akk - aik * a[k][j], prev)
-            a[i][k] = Cyclotomic.zero() if cyclo else 0
+                if cyclo:
+                    ai[j] = exact_div(ai[j] * akk - aik * ak[j], prev)
+                    continue
+                ai[j], r = divmod(ai[j] * akk - aik * ak[j], prev)
+                if r:
+                    raise ArithmeticError("inexact division in Bareiss elimination")
+            ai[k] = Cyclotomic.zero() if cyclo else 0
         prev = akk
     result = a[n - 1][n - 1]
     if sign < 0:

@@ -128,7 +128,7 @@ def fusion_from_spec(spec: dict):
             raise SpecError(f"merge entries need two words, got {pair!r}")
         a = resolve_word(pair[0], group)
         b = resolve_word(pair[1], group)
-        if a not in s.index or b not in s.index:
+        if a not in s or b not in s:
             raise SpecError(f"merge pair {pair!r} does not lie in S")
         merges.append((a, b))
     if merges:

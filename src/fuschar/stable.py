@@ -64,7 +64,9 @@ def stable_character_basis(irr_s: CharacterTable, fusion: FusionData) -> StableL
 
     The rank always equals the number of fusion classes.
     """
-    if irr_s.group is not fusion.S and irr_s.group.elements != fusion.S.elements:
+    S = fusion.S
+    if irr_s.group is not S and (irr_s.group.identity != S.identity
+                                 or irr_s.group.codes != S.codes):
         raise ValueError("character table and fusion data disagree on S")
     basis = stable_kernel_basis([chi.values for chi in irr_s.chars],
                                 [fc.s_class_indices for fc in fusion.classes],

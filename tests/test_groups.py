@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 import json
+import pathlib
 import random
 import time
 from array import array
@@ -27,7 +29,7 @@ from fuschar.groups import (
     symmetric_group,
 )
 from fuschar.intlinalg import p_part
-from fuschar.specio import table_to_json
+from fuschar.specio import fusion_from_spec, table_to_json
 
 
 def test_enumerate_cyclic_and_trivial():
@@ -93,6 +95,105 @@ def test_closure_on_codes_matches_the_product_closure():
         assert g.actions.act == [array("i", [pos[images[d]] for d in by_pos]) for images in act]
         assert g.actions.parent == array("i", [pos[parent[d]] if d else -1 for d in by_pos])
         assert g.actions.gen == array("i", [gen[d] for d in by_pos])
+
+
+def _eager_decode(g) -> list:
+    """Every code decoded as the closure once did, permutations from their
+    image tuples and matrices from their base-p^d column digits, sorted by
+    `encoding()`: the oracle for the canonical order and `elements`."""
+    if isinstance(g.identity, Perm):
+        return sorted((Perm(c) for c in g.codes), key=Perm.encoding)
+    p, d = g.identity.p, g.identity.dim
+    decoded = []
+    for c in g.codes:
+        cols = [[c // (p ** d) ** j // p ** i % p for i in range(d)] for j in range(d)]
+        decoded.append(FpMat(p, d, [v for row in zip(*cols) for v in row]))
+    return sorted(decoded, key=FpMat.encoding)
+
+
+def test_code_keyed_groups_decode_like_the_eager_closure():
+    cases = [build_group(5, "N_gamma4star"), build_group(5, "N_b"), build_group(3, "S"),
+             build_group(5, "S"), gl2_3(), standard_group("SL2_3"), standard_group("ES5"),
+             symmetric_group(5), alternating_group(5), standard_group("D64"), cyclic_group(61),
+             enumerate_group([])]
+    for g in cases:
+        elements = _eager_decode(g)
+        assert g.elements == elements
+        assert [g.element(x) for x in range(g.order)] == elements
+        assert g.identity == elements[g.actions.bfs[0]] and g.identity.is_identity()
+        for x, e in enumerate(elements):
+            assert e in g and e in g.index and g.index[e] == x
+        members = set(elements)
+        if isinstance(g.identity, Perm):
+            n = len(g.identity.images)
+            foreign = [Perm.identity(n + 1), Perm(range(1, n + 1)), FpMat.identity(5, n)]
+        else:
+            p, d = g.identity.p, g.identity.dim
+            foreign = [FpMat.identity(7 if p == 5 else 5, d), FpMat.identity(p, d + 1),
+                       FpMat(p, d, [0] * (d * d)), Perm.identity(d)]
+        foreign += [0, 1, None]
+        for x in foreign:
+            assert x not in g and x not in g.index
+            with pytest.raises(KeyError):
+                g.index[x]
+        # the generators of every other group, members or not
+        for other in cases:
+            for x in other.generators:
+                assert (x in g) == (x in members) == (x in g.index)
+                if x in members:
+                    assert g.index[x] == elements.index(x)
+                else:
+                    with pytest.raises(KeyError):
+                        g.index[x]
+
+
+def test_subgroup_membership_reads_codes_of_the_same_kind():
+    n, s = build_group(5, "N_b"), build_group(5, "S")
+    assert s.is_subgroup_of(n) and not n.is_subgroup_of(s)
+    trivial = enumerate_group([])
+    assert trivial.is_subgroup_of(cyclic_group(1))
+    assert not trivial.is_subgroup_of(gl2_3()) and not gl2_3().is_subgroup_of(trivial)
+    # the trivial groups of GL_1(3) and GL_1(5) share their code, not their element
+    one_3 = enumerate_group([FpMat.identity(3, 1)])
+    one_5 = enumerate_group([FpMat.identity(5, 1)])
+    assert one_3.codes == one_5.codes
+    assert not one_3.is_subgroup_of(one_5) and not one_5.is_subgroup_of(one_3)
+
+
+def _count_fpmat(monkeypatch) -> list:
+    count = [0]
+    init = FpMat.__init__
+
+    def counted(self, *args):
+        count[0] += 1
+        init(self, *args)
+    monkeypatch.setattr(FpMat, "__init__", counted)
+    return count
+
+
+def test_overgroup_classes_decode_only_their_representatives(monkeypatch):
+    count = _count_fpmat(monkeypatch)
+    # a fresh group, past the builder's cache
+    g = build_group.__wrapped__(5, "N_gamma4star")
+    cc = conjugacy_classes(g)
+    # its generators, designated elements and 26 class representatives,
+    # against 15,000 elements
+    assert g.order == 15000 and len(cc.classes) == 26
+    assert count[0] <= 200
+
+
+def test_a_merge_spec_decodes_fewer_elements_than_the_group_has(monkeypatch):
+    spec_path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
+    loader = importlib.util.spec_from_file_location("perfbench_specgen", spec_path)
+    specgen = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(specgen)
+    spec = dict(specgen.merge_specs(1, 2))["S4_5#0"]
+    count = _count_fpmat(monkeypatch)
+    fusion = fusion_from_spec(spec)
+    # 730 when the closure decoded every element; decoding all 625 at any
+    # later step would show here too
+    assert fusion.S.order == 625 and len(spec["merges"]) >= 1
+    assert count[0] < 625
 
 
 def test_column_tables_fill_lazily():

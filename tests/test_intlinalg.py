@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -72,6 +73,52 @@ def test_det_against_cofactor_oracle():
         n = rng.randint(1, 4)
         m = random_matrix(rng, n, n, -5, 5)
         assert det_exact(m) == cofactor_det(m)
+
+
+def fraction_det(m):
+    """Determinant by Gaussian elimination over Q: the oracle for the
+    fraction-free integer elimination."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n, det = len(a), Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def test_integer_det_against_fraction_elimination():
+    rng = random.Random(5)
+    cases = [[], [[0]], [[-7]],
+             [[0, 1], [1, 0]],  # a row swap at the first step
+             [[0, 2, 1], [0, 1, 5], [3, 1, 1]],  # a swap past the next row
+             [[1, 2, 3], [2, 4, 6], [1, 0, 1]],  # singular
+             [[2, 4, 1], [1, 2, 7], [3, 6, 2]]]  # zero pivot after one step: a swap
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        m = random_matrix(rng, n, n, -6, 6)
+        if n > 1 and rng.random() < 0.3:  # singular: one row repeats another's multiple
+            m[rng.randrange(1, n)] = [rng.choice((-2, 1, 3)) * x for x in m[0]]
+        if rng.random() < 0.3:  # a zero corner, so the first step swaps rows
+            m[0][0] = 0
+        cases.append(m)
+    singular = 0
+    for m in cases:
+        d = det_exact(m)
+        assert type(d) is int and d == fraction_det(m), m
+        singular += d == 0
+    assert singular >= 10
+    # the exactness check is explicit: a non-integral quotient raises
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        det_exact([[Fraction(1, 2), 1], [1, 1]])
 
 
 def test_det_cyclotomic_random_vs_conjugate():

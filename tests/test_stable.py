@@ -1,9 +1,18 @@
 import random
 from math import gcd
 
+import pytest
+
 from fuschar.chartable import dixon_character_table, restrict_table
 from fuschar.fusion import apply_merges, full_merge, fusion_from_group, fusion_of_self
-from fuschar.groups import cyclic_group, standard_group, sylow_subgroup
+from fuschar.groups import (
+    FpMat,
+    Perm,
+    cyclic_group,
+    enumerate_group,
+    standard_group,
+    sylow_subgroup,
+)
 from fuschar.intlinalg import hnf, lattice_index, transpose
 from fuschar.stable import (
     _pivot_columns,
@@ -22,6 +31,24 @@ def test_self_fusion_gives_identity_basis():
     lattice = stable_character_basis(tab, fusion_of_self(s, 2))
     n = tab.k
     assert lattice.basis == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def test_a_table_of_another_group_disagrees_on_s():
+    c4 = cyclic_group(4)
+    klein = enumerate_group([Perm([1, 0, 3, 2]), Perm([2, 3, 0, 1])])
+    assert klein.order == c4.order and klein.identity == c4.identity
+    # trivial groups over F_3 and F_5 share their one code
+    one_3 = enumerate_group([FpMat.identity(3, 1)])
+    one_5 = enumerate_group([FpMat.identity(5, 1)])
+    pairs = ((c4, klein, 2), (klein, c4, 2), (cyclic_group(27), standard_group("ES3"), 3),
+             (one_5, one_3, 5))
+    for s, other, p in pairs:
+        with pytest.raises(ValueError, match="disagree on S"):
+            stable_character_basis(dixon_character_table(other), fusion_of_self(s, p))
+    # the same group built twice agrees with itself
+    again = cyclic_group(4)
+    lattice = stable_character_basis(dixon_character_table(again), fusion_of_self(c4, 2))
+    assert lattice.rank == 4
 
 
 def c8_merged_lattice():
