@@ -334,9 +334,20 @@ def _validate_table(table: CharacterTable) -> None:
     total = sum(d * d for d in table.degrees())
     if total != table.group.order:
         raise AssertionError("sum of squared degrees must equal the group order")
+    # <chi, chi> = (1/|G|) sum_i |C_i| |chi_i|^2, with |x|^2 taken once per
+    # distinct value x of the table
+    sizes = [c.size for c in table.classes.classes]
+    order = Cyclotomic.integer(table.group.order)
+    norms: dict[tuple, Cyclotomic] = {}
     for chi in table.chars:
-        norm = inner_product(chi, chi, table.classes, table.group.order)
-        if norm != 1:
+        row = []
+        for x in chi.values:
+            key = (x.order, x.coeffs)
+            norm = norms.get(key)
+            if norm is None:
+                norm = norms[key] = cyclo_dot((1,), (x,), (x,))
+            row.append(norm)
+        if exact_div(cyclo_dot(sizes, row), order) != 1:
             raise AssertionError("computed character is not irreducible")
 
 

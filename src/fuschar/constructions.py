@@ -8,8 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import Cyclotomic
-from .groups import FiniteGroup, FpMat, conjugacy_classes, enumerate_group
+from .groups import FiniteGroup, FpMat, enumerate_group
 from .intlinalg import is_prime, primitive_root
 
 
@@ -80,11 +79,6 @@ def translation(p: int, v: tuple[int, int, int]) -> FpMat:
 def linear_part(x: FpMat) -> FpMat:
     r = x.rows()
     return FpMat.from_rows(x.p, [row[:3] for row in r[:3]])
-
-
-def translation_part(x: FpMat) -> tuple[int, int, int]:
-    r = x.rows()
-    return (r[0][3], r[1][3], r[2][3])
 
 
 def is_translation(x: FpMat) -> bool:
@@ -230,14 +224,6 @@ def gamma_orbit_analysis(p: int, variant: str) -> list[OrbitInfo]:
     return orbits
 
 
-def orbit_containing(orbits: list[OrbitInfo], gam: FiniteGroup,
-                     target: tuple[int, int, int]) -> OrbitInfo:
-    for info in orbits:
-        if target in _orbit(gam, info.rep):
-            return info
-    raise ValueError(f"{target} lies in no computed orbit")
-
-
 # -- brute-force point counts over PGL_2(p) ------------------------------------
 
 
@@ -332,35 +318,3 @@ def induced_value_formula(p: int, psi_key: str, rho_degree: int,
     if r:
         raise ArithmeticError("induced-value formula did not produce an integer")
     return q
-
-
-def induced_value_direct(p: int, psi_key: str, rho_degree: int, v_key: str) -> Cyclotomic:
-    """Direct induction of (extension of psi) tensor rho from V:I(psi) up to
-    V:Gamma, evaluated at the V-element; the independent check on the formula."""
-    from .chartable import ClassFunction, dixon_character_table, induce_class_function
-
-    params = ConstructionParams.for_prime(p)
-    avec = _psi_vector(psi_key, params)
-    vvec = _v_vector(v_key, params)
-    n = build_group(p, "N_gamma")
-    stab = gamma_stabilizer_of_character(p, psi_key)
-    h_gens = [translation(p, (1, 0, 0)), translation(p, (0, 1, 0)),
-              translation(p, (0, 0, 1))] + \
-        [affine(m, (0, 0, 0)) for m in stab.generators]
-    h = enumerate_group(h_gens)
-    stab_table = dixon_character_table(stab)
-    rho = next(chi for chi in stab_table.chars if chi.degree_int() == rho_degree)
-    stab_classes = stab_table.classes
-    h_classes = conjugacy_classes(h)
-    values = []
-    for cls in h_classes.classes:
-        t = translation_part(cls.rep)
-        lin = linear_part(cls.rep)
-        exponent = sum(a * x for a, x in zip(avec, t)) % p
-        psi_val = Cyclotomic.root_of_unity(p, exponent)
-        rho_val = rho.values[stab_classes.class_index_of(stab, lin)]
-        values.append(psi_val * rho_val)
-    theta = ClassFunction(tuple(values))
-    induced = induce_class_function(theta, h, n)
-    n_classes = conjugacy_classes(n)
-    return induced.values[n_classes.class_index_of(n, translation(p, vvec))]

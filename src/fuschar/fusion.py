@@ -135,13 +135,6 @@ def apply_merges(base: FusionData, merges: list[tuple]) -> FusionData:
                      sylow=base.sylow_in_overgroup)
 
 
-def full_merge(base: FusionData) -> FusionData:
-    """Merge all non-identity classes (the transitive partition)."""
-    nontrivial = [c.rep for c in base.classes if c.rep_order > 1]
-    merges = [(nontrivial[0], x) for x in nontrivial[1:]]
-    return apply_merges(base, merges)
-
-
 def fully_centralised_reps(F: FusionData) -> list[tuple]:
     """Ordered (rep, |C_S(rep)|) pairs, one per fusion class."""
     return [(c.rep, c.centralizer_order) for c in F.classes]

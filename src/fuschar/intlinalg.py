@@ -311,6 +311,8 @@ def det_exact(matrix: list[list]):
         akk = ak[k]
         for ai in a[k + 1:]:
             aik = ai[k]
+            if not cyclo and aik == 0 and akk == prev:
+                continue  # each update (a_ij * a_kk - 0) / prev is a_ij
             for j in range(k + 1, n):
                 if cyclo:
                     ai[j] = exact_div(ai[j] * akk - aik * ak[j], prev)

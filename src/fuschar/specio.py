@@ -183,8 +183,3 @@ def table_to_json(table) -> dict:
             for chi in table.chars
         ],
     }
-
-
-def report_round_trip(report_json: dict) -> dict:
-    """parse(serialize(report)) identity used by the golden tests."""
-    return json.loads(json.dumps(report_json))

@@ -201,16 +201,29 @@ def _check_dx_identity(dec, lattice: StableLattice, irr_g: CharacterTable,
     """(D X)[chi][s] must equal chi(s) for every restricted irreducible; g_cols
     are the G-classes of the fusion representatives.  X = B Psi, so D X is
     evaluated as (D B) Psi: the integer product first, then the values of
-    Irr(S) at the representatives' S-classes."""
+    Irr(S) at the representatives' S-classes.  Each distinct row of D B is
+    evaluated once, and every value is compared as its canonical vector at
+    the conductor of G (exp(S) divides exp(G))."""
     restricted = [chi for i, chi in enumerate(irr_g.chars) if i not in dec.outside_rows]
     fusion = lattice.fusion
     sc = conjugacy_classes(fusion.S)
-    dx = _x_matrix(mat_mul(dec.d_matrix, lattice.basis),
-                   [psi.values for psi in lattice.irr_s.chars],
+    e = irr_g.conductor
+    db_rows = [tuple(row) for row in mat_mul(dec.d_matrix, lattice.basis)]
+    distinct = list(dict.fromkeys(db_rows))
+    dx = _x_matrix(distinct, [psi.values for psi in lattice.irr_s.chars],
                    [sc.class_index_of(fusion.S, fc.rep) for fc in fusion.classes])
-    return all(dx_row[col] == chi.values[gcls]
-               for dx_row, chi in zip(dx, restricted)
-               for col, gcls in enumerate(g_cols))
+    dx_coeffs = {row: [v.embedded(e).coeffs for v in dx_row]
+                 for row, dx_row in zip(distinct, dx)}
+    chi_coeffs: dict[int, tuple] = {}  # by identity: the table holds every value
+
+    def coeffs(v):
+        c = chi_coeffs.get(id(v))
+        if c is None:
+            c = chi_coeffs[id(v)] = v.embedded(e).coeffs
+        return c
+
+    return all(dx_coeffs[row] == [coeffs(chi.values[gcls]) for gcls in g_cols]
+               for row, chi in zip(db_rows, restricted))
 
 
 # -- table mode ---------------------------------------------------------------
@@ -430,7 +443,10 @@ def run_group_corpus(entries=None, progress=None, load=standard_group) -> dict:
         done = []
         try:
             g = load(name)
-            for q in [p] if p else prime_divisors(g.order):
+            primes = [p] if p else prime_divisors(g.order)
+            if not primes:  # a file still counts: an entry with no prime is an error
+                raise ValueError(f"group order {g.order} has no prime divisor")
+            for q in primes:
                 done.append(verify_group_case(g, q, f"{name}@p={q}"))
         except Exception as exc:  # isolate per-entry problems
             done.append(VerificationReport(f"{name}@p={p}" if p else name, p, 0, [],

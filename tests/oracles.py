@@ -1,0 +1,110 @@
+"""Test oracles: the direct or slower forms of what `fuschar` computes, and
+helpers that only the tests use.  No verdict path, CLI command or demo
+reaches any of them."""
+
+import json
+
+from fuschar.chartable import (
+    ClassFunction,
+    dixon_character_table,
+    induce_class_function,
+    inner_product,
+)
+from fuschar.constructions import (
+    ConstructionParams,
+    _orbit,
+    _psi_vector,
+    _v_vector,
+    affine,
+    build_group,
+    gamma_stabilizer_of_character,
+    linear_part,
+    translation,
+)
+from fuschar.cyclotomic import Cyclotomic
+from fuschar.fusion import apply_merges
+from fuschar.groups import conjugacy_classes, enumerate_group
+from fuschar.intlinalg import mat_mul
+from fuschar.verify import _x_matrix
+
+
+def full_merge(base):
+    """Merge all non-identity classes (the transitive partition)."""
+    nontrivial = [c.rep for c in base.classes if c.rep_order > 1]
+    merges = [(nontrivial[0], x) for x in nontrivial[1:]]
+    return apply_merges(base, merges)
+
+
+def orbit_containing(orbits, gam, target):
+    """The orbit record of `gamma_orbit_analysis` whose orbit holds target."""
+    for info in orbits:
+        if target in _orbit(gam, info.rep):
+            return info
+    raise ValueError(f"{target} lies in no computed orbit")
+
+
+def translation_part(x):
+    r = x.rows()
+    return (r[0][3], r[1][3], r[2][3])
+
+
+def induced_value_direct(p, psi_key, rho_degree, v_key):
+    """Direct induction of (extension of psi) tensor rho from V:I(psi) up to
+    V:Gamma, evaluated at the V-element; the independent check on
+    `induced_value_formula`."""
+    params = ConstructionParams.for_prime(p)
+    avec = _psi_vector(psi_key, params)
+    vvec = _v_vector(v_key, params)
+    n = build_group(p, "N_gamma")
+    stab = gamma_stabilizer_of_character(p, psi_key)
+    h_gens = [translation(p, (1, 0, 0)), translation(p, (0, 1, 0)),
+              translation(p, (0, 0, 1))] + \
+        [affine(m, (0, 0, 0)) for m in stab.generators]
+    h = enumerate_group(h_gens)
+    stab_table = dixon_character_table(stab)
+    rho = next(chi for chi in stab_table.chars if chi.degree_int() == rho_degree)
+    stab_classes = stab_table.classes
+    h_classes = conjugacy_classes(h)
+    values = []
+    for cls in h_classes.classes:
+        t = translation_part(cls.rep)
+        lin = linear_part(cls.rep)
+        exponent = sum(a * x for a, x in zip(avec, t)) % p
+        psi_val = Cyclotomic.root_of_unity(p, exponent)
+        rho_val = rho.values[stab_classes.class_index_of(stab, lin)]
+        values.append(psi_val * rho_val)
+    theta = ClassFunction(tuple(values))
+    induced = induce_class_function(theta, h, n)
+    n_classes = conjugacy_classes(n)
+    return induced.values[n_classes.class_index_of(n, translation(p, vvec))]
+
+
+def report_round_trip(report_json):
+    """parse(serialize(report)) identity used by the golden tests."""
+    return json.loads(json.dumps(report_json))
+
+
+def validate_table_by_inner_products(table):
+    """`chartable._validate_table` as one full inner product <chi, chi> per
+    character: the oracle for the norms taken once per distinct value."""
+    total = sum(d * d for d in table.degrees())
+    if total != table.group.order:
+        raise AssertionError("sum of squared degrees must equal the group order")
+    for chi in table.chars:
+        norm = inner_product(chi, chi, table.classes, table.group.order)
+        if norm != 1:
+            raise AssertionError("computed character is not irreducible")
+
+
+def dx_identity_by_values(dec, lattice, irr_g, g_cols):
+    """`verify._check_dx_identity` over every row of D B, comparing values
+    with `Cyclotomic.__eq__`: the oracle for the distinct-row check."""
+    restricted = [chi for i, chi in enumerate(irr_g.chars) if i not in dec.outside_rows]
+    fusion = lattice.fusion
+    sc = conjugacy_classes(fusion.S)
+    dx = _x_matrix(mat_mul(dec.d_matrix, lattice.basis),
+                   [psi.values for psi in lattice.irr_s.chars],
+                   [sc.class_index_of(fusion.S, fc.rep) for fc in fusion.classes])
+    return all(dx_row[col] == chi.values[gcls]
+               for dx_row, chi in zip(dx, restricted)
+               for col, gcls in enumerate(g_cols))

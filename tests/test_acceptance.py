@@ -22,7 +22,7 @@ from fuschar.exotic import (
     overgroup_context,
     table_3492,
 )
-from fuschar.fusion import apply_merges, full_merge, fusion_of_self
+from fuschar.fusion import apply_merges, fusion_of_self
 from fuschar.groups import (
     conjugacy_classes,
     cyclic_group,
@@ -55,6 +55,8 @@ from fuschar.verify import (
     verify_conjecture,
     verify_table_fusion,
 )
+
+from oracles import full_merge
 
 SEED = 20240801
 

@@ -28,6 +28,9 @@ from fuschar.groups import (
     standard_group,
     symmetric_group,
 )
+from fuschar.verify import builtin_corpus
+
+from oracles import validate_table_by_inner_products
 
 
 def test_validate_table_rejects_a_norm_two_character():
@@ -43,6 +46,76 @@ def test_validate_table_rejects_a_norm_two_character():
         chars.append(chi)
     with pytest.raises(AssertionError, match="not irreducible"):
         _validate_table(replace(tab, chars=chars))
+
+
+def _outcome(check, table):
+    """None when check accepts table, else the type and message it raised."""
+    try:
+        check(table)
+    except (AssertionError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _with_entry(table, i, j, value):
+    chars = list(table.chars)
+    vals = list(chars[i].values)
+    vals[j] = value
+    chars[i] = ClassFunction(tuple(vals))
+    return replace(table, chars=chars)
+
+
+def test_validate_table_agrees_with_the_inner_product_oracle():
+    names = sorted({name for name, _ in builtin_corpus()})
+    tables = [dixon_character_table(standard_group(name)) for name in names]
+    tables += [dixon_character_table(build_group(5, which)) for which in ("N_gamma4star", "N_b")]
+    rejected = 0
+    for tab in tables:
+        assert _outcome(_validate_table, tab) is None
+        assert _outcome(validate_table_by_inner_products, tab) is None
+        # the last character takes its degree at the last class as well
+        bad = _with_entry(tab, -1, tab.k - 1, tab.chars[-1].values[0])
+        outcome = _outcome(_validate_table, bad)
+        assert outcome == _outcome(validate_table_by_inner_products, bad), tab.group.order
+        rejected += outcome is not None
+    assert rejected >= 40  # every group whose last character has degree > 1
+
+
+def test_validate_table_rejects_a_value_repeated_from_elsewhere():
+    """One entry replaced by another value of the same table must change the
+    norm it is charged: the norms are keyed by value, not by position."""
+    tab = dixon_character_table(standard_group("D10"))
+    i = next(i for i, chi in enumerate(tab.chars) if chi.degree_int() == 2)
+    zero = next(j for j, v in enumerate(tab.chars[i].values) if v.is_zero())
+    rotation = next(j for j, v in enumerate(tab.chars[i].values) if not v.is_rational_integer())
+    bad = _with_entry(tab, i, zero, tab.chars[i].values[rotation])
+    outcome = _outcome(_validate_table, bad)
+    assert outcome is not None and outcome == _outcome(validate_table_by_inner_products, bad)
+    # a cyclic table holds only roots of unity, each of norm 1, so moving one
+    # of its values elsewhere changes no norm: both checks accept it
+    c5 = dixon_character_table(cyclic_group(5))
+    swapped = _with_entry(c5, 1, 1, c5.chars[2].values[3])
+    assert _outcome(_validate_table, swapped) is None
+    assert _outcome(validate_table_by_inner_products, swapped) is None
+
+
+def test_validate_table_takes_each_distinct_norm_once(monkeypatch):
+    import fuschar.chartable
+
+    tab = dixon_character_table(cyclic_group(61))
+    calls = []
+    original = fuschar.chartable.cyclo_dot
+
+    def counted(weights, xs, ys=None):
+        calls.append((len(xs), ys is not None))
+        return original(weights, xs, ys)
+
+    monkeypatch.setattr(fuschar.chartable, "cyclo_dot", counted)
+    _validate_table(tab)
+    distinct = {(v.order, v.coeffs) for chi in tab.chars for v in chi.values}
+    # distinct values + k calls: one single-term |x|^2 per distinct value and
+    # one integer-weighted sum per character
+    assert sorted(calls) == [(1, True)] * len(distinct) + [(tab.k, False)] * tab.k
 
 
 def test_c2_table():

@@ -7,13 +7,14 @@ from fuschar.constructions import (
     gamma_group,
     gamma_orbit_analysis,
     gamma_stabilizer_of_character,
-    induced_value_direct,
     induced_value_formula,
     pgl2_cosets,
     sylow_inside,
     table3_expected,
 )
 from fuschar.groups import conjugacy_classes
+
+from oracles import induced_value_direct, orbit_containing
 
 
 def test_params_selection():
@@ -94,8 +95,6 @@ def test_orbit_analyses_small():
 
 
 def test_orbit_reps_listed_in_lemma():
-    from fuschar.constructions import orbit_containing
-
     p = 5
     params = ConstructionParams.for_prime(p)
     gam = gamma_group(p, "gamma")

@@ -9,7 +9,6 @@ from fuschar.fusion import (
     TableFusion,
     apply_merges,
     centralizer_product,
-    full_merge,
     fully_centralised_reps,
     fusion_from_group,
     fusion_of_self,
@@ -21,6 +20,8 @@ from fuschar.groups import (
     sylow_subgroup,
     symmetric_group,
 )
+
+from oracles import full_merge
 
 
 def test_self_fusion_matches_classes():

@@ -121,6 +121,31 @@ def test_integer_det_against_fraction_elimination():
         det_exact([[Fraction(1, 2), 1], [1, 1]])
 
 
+def test_det_skipping_no_op_rows_matches_fraction_elimination():
+    """Bareiss leaves a row alone when a_ik = 0 and a_kk = prev; every other
+    zero in the pivot column still scales its row by a_kk / prev."""
+    rng = random.Random(7)
+    identity = [[int(i == j) for j in range(5)] for i in range(5)]
+    cases = [[], [[0]], [[1]], [[-4]], identity,
+             [[2, 0, 0, 0], [0, -3, 0, 0], [0, 0, 5, 0], [0, 0, 0, 7]],  # diagonal
+             [[2, 1, 0, 0], [1, 3, 0, 0], [0, 0, 4, 1], [0, 0, 2, 5]],  # two blocks
+             [[1, 2, 0], [2, 4, 0], [0, 0, 3]],  # singular
+             [[1, 2, 3], [0, 4, 5], [0, 6, 7]],  # a_kk = prev = 1: both rows skipped
+             [[3, 2, 3], [0, 4, 5], [0, 6, 7]],  # a_kk = 3 != prev: row 1 is scaled
+             [[2, 0, 1], [0, 1, 3], [5, 0, 4]]]  # step 1 has a_kk = prev = 2
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        m = [[rng.choice((0, 0, 0, 0, 1, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:  # an identity block in the corner
+            for i in range(n // 2):
+                m[i] = [int(i == j) for j in range(n)]
+        cases.append(m)
+    for m in cases:
+        d = det_exact(m)
+        assert type(d) is int and d == fraction_det(m), m
+    assert sum(fraction_det(m) == 0 for m in cases) >= 20
+
+
 def test_det_cyclotomic_random_vs_conjugate():
     rng = random.Random(3)
     for _ in range(10):

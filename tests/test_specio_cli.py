@@ -8,10 +8,11 @@ from fuschar.specio import (
     SpecError,
     fusion_from_spec,
     group_from_spec,
-    report_round_trip,
     resolve_word,
     table_to_json,
 )
+
+from oracles import report_round_trip
 
 C8_SPEC = {"kind": "permutation", "degree": 8,
            "generators": [[1, 2, 3, 4, 5, 6, 7, 0]]}
@@ -170,6 +171,18 @@ def test_cli_directory_corpus(tmp_path, capsys):
     assert main(["corpus", "--dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "verified 2 / 2" in out  # primes 2 and 3
+
+
+def test_cli_directory_corpus_reports_a_trivial_group(tmp_path, capsys):
+    (tmp_path / "c3.json").write_text(json.dumps(
+        {"kind": "permutation", "degree": 3, "generators": [[1, 2, 0]]}))
+    (tmp_path / "trivial.json").write_text(json.dumps(
+        {"kind": "permutation", "degree": 3, "generators": []}))
+    assert main(["corpus", "--dir", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert "verified 1 / 2" in out  # every file has a report
+    assert "FAILED trivial.json: error" in out
+    assert "group order 1 has no prime divisor" in out
 
 
 def test_cli_large_gate():

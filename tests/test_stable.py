@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from fuschar.chartable import dixon_character_table, restrict_table
-from fuschar.fusion import apply_merges, full_merge, fusion_from_group, fusion_of_self
+from fuschar.fusion import apply_merges, fusion_from_group, fusion_of_self
 from fuschar.groups import (
     FpMat,
     Perm,
@@ -23,6 +23,8 @@ from fuschar.stable import (
     irr_coordinates,
     stable_character_basis,
 )
+
+from oracles import full_merge
 
 
 def test_self_fusion_gives_identity_basis():

@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
-from fuschar.chartable import dixon_character_table
+from fuschar.chartable import ClassFunction, dixon_character_table
 from fuschar.cyclotomic import Cyclotomic
 from fuschar.exotic import (
     build_exotic_fusion,
@@ -12,11 +14,17 @@ from fuschar.exotic import (
     overgroup_context,
     table_3492,
 )
-from fuschar.fusion import apply_merges, full_merge, fusion_from_group, fusion_of_self
+from fuschar.fusion import apply_merges, fusion_from_group, fusion_of_self
 from fuschar.groups import cyclic_group, standard_group, sylow_subgroup
 from fuschar.intlinalg import mat_mul, transpose
-from fuschar.stable import StableLattice, stable_character_basis, stable_kernel_basis
+from fuschar.stable import (
+    StableLattice,
+    decomposition_matrix,
+    stable_character_basis,
+    stable_kernel_basis,
+)
 from fuschar.verify import (
+    _check_dx_identity,
     _x_matrix,
     builtin_corpus,
     character_table_matrix,
@@ -30,6 +38,8 @@ from fuschar.verify import (
     verify_group_case,
     verify_table_fusion,
 )
+
+from oracles import dx_identity_by_values, full_merge
 
 
 def test_self_fusion_gram_is_diagonal_of_centralizers():
@@ -328,6 +338,61 @@ def test_restriction_identity_catches_a_wrong_decomposition_entry(monkeypatch):
     for name, p in (("S4", 2), ("D16", 2)):
         rep = verify_group_case(standard_group(name), p)
         assert rep.checks["restriction_identity"] is False and rep.verdict == "error"
+
+
+def _dx_check_inputs(g, p):
+    """The arguments verify_group_case passes to _check_dx_identity."""
+    s = sylow_subgroup(g, p)
+    fusion = fusion_from_group(g, s, p)
+    lattice = stable_character_basis(dixon_character_table(s), fusion)
+    irr_g = dixon_character_table(g)
+    dec = decomposition_matrix(irr_g, s, lattice)
+    g_cols = [irr_g.classes.class_index_of(g, fc.rep) for fc in fusion.classes]
+    return dec, lattice, irr_g, g_cols
+
+
+def test_dx_identity_agrees_with_the_value_oracle():
+    for name, p in (("S4", 2), ("S4", 3), ("GL2_3", 2), ("SL2_3", 3), ("A5", 5),
+                    ("D12", 2), ("C60", 2)):
+        args = _dx_check_inputs(standard_group(name), p)
+        assert _check_dx_identity(*args) is dx_identity_by_values(*args) is True
+
+
+def test_dx_identity_sees_one_corrupted_value_on_a_shared_row():
+    """The trivial and the sign character of S3 restrict alike to C3, so they
+    share one row of D B; corrupting the sign at one column must still fail."""
+    dec, lattice, irr_g, g_cols = _dx_check_inputs(standard_group("S3"), 3)
+    rows = [tuple(row) for row in mat_mul(dec.d_matrix, lattice.basis)]
+    i, j = next((i, j) for i in range(len(rows)) for j in range(i + 1, len(rows))
+                if rows[i] == rows[j])
+    assert not dec.outside_rows
+    for gcls in g_cols:
+        for target in (i, j):
+            chars = list(irr_g.chars)
+            vals = list(chars[target].values)
+            vals[gcls] += 1
+            chars[target] = ClassFunction(tuple(vals))
+            bad = replace(irr_g, chars=chars)
+            assert _check_dx_identity(dec, lattice, bad, g_cols) is False
+            assert dx_identity_by_values(dec, lattice, bad, g_cols) is False
+
+
+def test_dx_identity_evaluates_each_distinct_row_once(monkeypatch):
+    import fuschar.verify
+
+    dec, lattice, irr_g, g_cols = _dx_check_inputs(cyclic_group(60), 2)
+    rows = {tuple(row) for row in mat_mul(dec.d_matrix, lattice.basis)}
+    assert len(rows) == 4 < len(dec.d_matrix) == 60  # Irr(C60) onto Irr(C4)
+    calls = []
+    original = fuschar.verify.cyclo_dot
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fuschar.verify, "cyclo_dot", counted)
+    assert _check_dx_identity(dec, lattice, irr_g, g_cols) is True
+    assert len(calls) == len(rows) * len(g_cols)
 
 
 def test_b_f_stable_fails_when_a_row_breaks_constancy():
