@@ -84,33 +84,28 @@ def _cmd_char_table(args) -> int:
     return EXIT_OK
 
 
-def _paper_exotic(name: str, p: int | None, fmt: str, large: bool = False) -> int:
-    from .exotic import (
-        build_exotic_fusion,
-        chain_certificates,
-        exotic_fusion_spec,
-        overgroup_context,
-        table_3492,
-    )
+def _paper_exotic(name: str, p: int | None, fmt: str) -> int:
+    from . import exotic
     from .verify import check_certificate_chain, verify_table_fusion
 
-    # the chains exist only at p = 5; every other system defaults to p = 3
-    spec = exotic_fusion_spec(name, p or (5 if name.startswith("F547_chain") else 3))
+    spec = exotic.exotic_fusion_spec(name, p)
     p = spec["p"]
     if spec["mode"] == "table":
-        return _report_exit(verify_table_fusion(table_3492()), fmt)
+        return _report_exit(verify_table_fusion(exotic.table_3492()), fmt)
     if spec["mode"] == "chain":
-        ctx = overgroup_context(p, spec["base"])
-        code = EXIT_OK
-        for rep in check_certificate_chain(chain_certificates(spec["family"], p), ctx.irr_s):
-            status = "passed" if rep.ok else f"FAILED {rep.failures()}"
-            print(f"{rep.label}: certificate {status}")
-            if not rep.ok:
-                code = EXIT_COUNTEREXAMPLE
-        return code
-    if p >= 7 and not large:
-        raise SpecError("p >= 7 overgroup constructions are gated behind --large")
-    merged, ctx = build_exotic_fusion(name, p)
+        ctx = exotic.overgroup_context(p, spec["base"])
+        certs = exotic.chain_certificates(spec["family"], p)
+        reports = check_certificate_chain(certs, ctx.irr_s)
+        if fmt == "json":
+            print(json.dumps({"input": f"{name}@p={p}",
+                              "certificates": [rep.to_json() for rep in reports]},
+                             indent=2, sort_keys=True))
+        else:
+            for rep in reports:
+                status = "passed" if rep.ok else f"FAILED {rep.failures()}"
+                print(f"{rep.label}: certificate {status}")
+        return EXIT_OK if all(rep.ok for rep in reports) else EXIT_COUNTEREXAMPLE
+    merged, ctx = exotic.build_exotic_fusion(name, p)
     return _report_exit(verify_conjecture(merged, ctx.irr_s, f"{name}@p={p}"), fmt)
 
 
@@ -119,12 +114,10 @@ def _cmd_paper(args) -> int:
 
     item = args.item
     if item.startswith("exotic:"):
-        return _paper_exotic(item.split(":", 1)[1], args.p, args.format, args.large)
+        return _paper_exotic(item.split(":", 1)[1], args.p, args.format)
     if item not in PAPER_ITEMS:
         raise SpecError(f"unknown item {item!r}; choose from "
                         f"{PAPER_ITEMS} or exotic:<name>")
-    if item in ("table1", "table2", "table4") and (args.p or 0) >= 7 and not args.large:
-        raise SpecError("p >= 7 overgroup tables are gated behind --large")
     if item == "example27":
         from .reftables import check_fixed_prime, reproduce_example27
 
@@ -209,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"one of {PAPER_ITEMS} or exotic:<name> with name in "
                          "G_prune, F1, Op_F1, F_3492, F547_chain:psu, F547_chain:g")
     pp.add_argument("--p", type=int, default=None)
-    pp.add_argument("--large", action="store_true",
-                    help="allow p = 7 overgroup computations")
     pp.set_defaults(func=_cmd_paper)
 
     cp = sub.add_parser("corpus", help="run whole-group verifications")

@@ -543,8 +543,8 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> FiniteGroup:
     target = p_part(G.order, p)
     if target == G.order:
         return G
-    if target == 1:
-        return enumerate_group([], designated={})
+    if target == 1:  # the trivial subgroup, of G's own kind
+        return enumerate_group([G.identity])
     classes = conjugacy_classes(G)
     # seed: a p-element of maximal order
     best = None

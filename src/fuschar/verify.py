@@ -294,6 +294,11 @@ class CertificateReport:
     def failures(self) -> list[str]:
         return [name for name, good in self.hypotheses.items() if not good]
 
+    def to_json(self) -> dict:
+        return {"label": self.label, "ok": self.ok, "failures": self.failures(),
+                "det_base": str(self.det_base), "det_target": str(self.det_target),
+                "containment_index": str(self.containment_index)}
+
 
 def check_induction_certificate(cert: InductionCertificate, irr_s: CharacterTable,
                                 base_lattice: StableLattice | None = None

@@ -1,9 +1,12 @@
+import argparse
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from fuschar.cli import main
+from fuschar.cli import build_parser, main
 from fuschar.specio import (
     SpecError,
     fusion_from_spec,
@@ -185,8 +188,64 @@ def test_cli_directory_corpus_reports_a_trivial_group(tmp_path, capsys):
     assert "group order 1 has no prime divisor" in out
 
 
-def test_cli_large_gate():
-    assert main(["paper", "--item", "table1", "--p", "7"]) == 2
+def test_cli_runs_p7_overgroups_without_a_flag(capsys):
+    assert main(["paper", "--item", "table1", "--p", "7"]) == 0
+    assert "table1@p=7: all matched" in capsys.readouterr().out
+    assert main(["paper", "--item", "exotic:G_prune", "--p", "7"]) == 0
+    assert "G_prune@p=7: verified" in capsys.readouterr().out
+
+
+def test_cli_group_size_cap_is_the_guard_on_overgroup_size(monkeypatch, capsys):
+    import fuschar.groups
+
+    monkeypatch.setattr(fuschar.groups, "DEFAULT_MAX_ORDER", 50_000)
+    assert main(["paper", "--item", "table2", "--p", "7"]) == 2
+    assert "group too large: closure exceeded the cap of 50000 elements" in capsys.readouterr().err
+
+
+def test_verify_fusion_at_a_prime_not_dividing_the_order(tmp_path, capsys):
+    # S is the trivial subgroup of G's own kind, so the fusion verifies with k(F) = 1
+    groups = {"s3": {"kind": "permutation", "degree": 3, "generators": [[1, 2, 0], [1, 0, 2]]},
+              "gl2_3": {"kind": "matrix", "dim": 2, "char": 3,
+                        "generators": [[[1, 1], [0, 1]], [[0, 1], [2, 0]], [[2, 0], [0, 1]]]}}
+    for name, group in groups.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"group": group, "p": 5, "merges": []}))
+        assert main(["--format", "json", "verify-fusion", "-f", str(path)]) == 0, name
+        data = json.loads(capsys.readouterr().out)
+        assert data["verdict"] == "verified" and data["k_F"] == 1
+        assert data["checks"]["lattice_discriminant"] == "1"
+
+
+def _readme_command_line_section() -> str:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index("## Command line")
+    end = text.find("\n## ", start)
+    return text[start:end if end >= 0 else None]
+
+
+def test_readme_commands_parse_with_the_cli_parser():
+    block = _readme_command_line_section().split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0].replace("[", "").replace("]", "").split()
+                for line in block.splitlines()]
+    commands = [words for words in commands if words]
+    assert commands and all(words[0] == "fuschar" for words in commands)
+    parser = build_parser()
+    for words in commands:
+        try:
+            parser.parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {' '.join(words)}")
+
+
+def test_readme_names_only_options_the_parser_has():
+    parser = build_parser()
+    parsers = [parser] + [sub for action in parser._actions
+                          if isinstance(action, argparse._SubParsersAction)
+                          for sub in action.choices.values()]
+    known = {opt for p in parsers for action in p._actions for opt in action.option_strings}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", _readme_command_line_section()))
+    assert named and named <= known, sorted(named - known)
 
 
 def test_cli_directory_corpus_isolates_bad_files(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from fuschar.chartable import ClassFunction, dixon_character_table
 from fuschar.cyclotomic import Cyclotomic
 from fuschar.exotic import (
+    CHAIN_LABELS,
     build_exotic_fusion,
     certificate_f1,
     certificate_g,
@@ -171,6 +173,9 @@ def test_exotic_spec_serialization():
     assert spec["mode"] == "table"
     spec = exotic_fusion_spec("F547_chain:g", 5)
     assert spec["family"] == "g" and spec["base"] == "N_b"
+    # without p, the chains run at p = 5 and every other system at p = 3
+    assert exotic_fusion_spec("F547_chain:psu")["p"] == 5
+    assert exotic_fusion_spec("F1")["p"] == exotic_fusion_spec("F_3492")["p"] == 3
 
 
 def test_basis_change_invariance_small():
@@ -456,3 +461,17 @@ def test_a_chain_reports_as_its_steps_checked_one_by_one():
     # a lattice built for another fusion system is refused, not used
     with pytest.raises(ValueError, match="another fusion system"):
         check_induction_certificate(certs[0], irr_s, chained[0].target_lattice)
+
+
+def test_a_chain_prints_one_json_object(capsys):
+    import fuschar.cli
+
+    assert fuschar.cli.main(["--format", "json", "paper", "--item", "exotic:F547_chain:g"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["input"] == "F547_chain:g@p=5"
+    assert len(data["certificates"]) == len(CHAIN_LABELS["g"])
+    for cert in data["certificates"]:
+        assert cert["ok"] and cert["failures"] == []
+        assert cert["containment_index"] == "1"
+        assert int(cert["det_base"]) > int(cert["det_target"]) > 0
+    assert data["certificates"][0]["label"] == "G_prune@p=5"
