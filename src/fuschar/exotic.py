@@ -113,7 +113,8 @@ def base_construction_for(name: str, p: int) -> str:
 
 def exotic_fusion_spec(name: str, p: int | None = None) -> dict:
     """Base construction plus merge words; p defaults to 5 for the chains, else 3."""
-    p = p or (5 if name.startswith("F547_chain") else 3)
+    if p is None:
+        p = 5 if name.startswith("F547_chain") else 3
     if name == "F_3492":
         if p != 3:
             raise ValueError("the order-162 table-mode instance is specific to p = 3")

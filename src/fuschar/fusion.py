@@ -226,15 +226,25 @@ class TableFusion:
 
     @classmethod
     def from_json(cls, data: dict) -> "TableFusion":
+        group_order = spec_int(data["group_order"], "group_order")
+
+        def value(v: dict) -> Cyclotomic:
+            # values of S lie in Q(zeta_exp(S)), so every order written minimized
+            # divides 2|S|; checked before Cyclotomic builds Phi_order
+            order = spec_int(v["order"], "order")
+            if order > 0 and (2 * group_order) % order:
+                raise ValueError(f"value order {order} does not divide "
+                                 f"2 * group_order = {2 * group_order}")
+            return Cyclotomic.from_json(v)
+
         return cls(
             p=spec_int(data["p"], "p"),
-            group_order=spec_int(data["group_order"], "group_order"),
+            group_order=group_order,
             labels=[str(x) for x in data["labels"]],
             class_sizes=[spec_int(x, "class_sizes") for x in data["class_sizes"]],
             centralizer_orders=[spec_int(x, "centralizer_orders")
                                 for x in data["centralizer_orders"]],
-            basis_values=[[Cyclotomic.from_json(v) for v in row]
-                          for row in data["basis_values"]],
+            basis_values=[[value(v) for v in row] for row in data["basis_values"]],
             merge_groups=[[spec_int(j, "merge_groups") for j in g]
                           for g in data["merge_groups"]],
             name=str(data.get("name", "table-mode")),

@@ -79,9 +79,6 @@ class Perm:
     def __hash__(self):
         return self._hash
 
-    def __lt__(self, other):
-        return self.images < other.images
-
     def __repr__(self):
         return f"Perm{self.images}"
 
@@ -150,9 +147,6 @@ class FpMat:
 
     def __hash__(self):
         return self._hash
-
-    def __lt__(self, other):
-        return self.entries < other.entries
 
     def __repr__(self):
         return f"FpMat(p={self.p}, {self.rows()})"

@@ -202,64 +202,18 @@ def rref_mod(rows: list[list[int]], l: int) -> tuple[list[list[int]], list[int],
 
 
 def smith_invariants(matrix: list[list[int]]) -> list[int]:
-    """Nonzero elementary divisors d1 | d2 | ... of an integer matrix."""
-    a = [list(r) for r in matrix]
-    m = len(a)
-    n = len(a[0]) if a else 0
-    divisors = []
-    top = 0
-    while True:
-        pos = None
-        for i in range(top, m):
-            for j in range(top, n):
-                if a[i][j]:
-                    pos = (i, j)
-                    break
-            if pos:
-                break
-        if pos is None:
-            break
-        i0, j0 = pos
-        a[top], a[i0] = a[i0], a[top]
-        for r in a:
-            r[top], r[j0] = r[j0], r[top]
-        while True:
-            # clear column `top`
-            for i in range(top + 1, m):
-                while a[i][top]:
-                    if a[i][top] % a[top][top] == 0:
-                        q = a[i][top] // a[top][top]
-                        for k in range(top, n):
-                            a[i][k] -= q * a[top][k]
-                    else:
-                        g, x, y = _xgcd(a[top][top], a[i][top])
-                        ag, bg = a[top][top] // g, a[i][top] // g
-                        for k in range(top, n):
-                            s, t = a[top][k], a[i][k]
-                            a[top][k] = x * s + y * t
-                            a[i][k] = -bg * s + ag * t
-            # clear row `top`; may disturb the column, hence the outer loop
-            dirty = False
-            for j in range(top + 1, n):
-                while a[top][j]:
-                    if a[top][j] % a[top][top] == 0:
-                        q = a[top][j] // a[top][top]
-                        for i in range(top, m):
-                            a[i][j] -= q * a[i][top]
-                    else:
-                        g, x, y = _xgcd(a[top][top], a[top][j])
-                        ag, bg = a[top][top] // g, a[top][j] // g
-                        for i in range(top, m):
-                            s, t = a[i][top], a[i][j]
-                            a[i][top] = x * s + y * t
-                            a[i][j] = -bg * s + ag * t
-                        dirty = True
-            if not (dirty and any(a[i][top] for i in range(top + 1, m))):
-                break
-        divisors.append(abs(a[top][top]))
-        top += 1
-        if top == m or top == n:
-            break
+    """Nonzero elementary divisors d1 | d2 | ... of an integer matrix.
+
+    Alternates Hermite forms of the rows and of the columns (Kannan-Bachem)
+    until the matrix is diagonal; every elimination goes through `hnf`.
+    """
+    a = [r for r in hnf(matrix).hnf if any(r)]
+    # The loop ends: each pass replaces the leading pivot by the gcd of the
+    # line it leads, so that positive pivot shrinks until it divides its row
+    # and column, which then stay clear; the trailing block repeats this.
+    while any(x for i, r in enumerate(a) for j, x in enumerate(r) if i != j):
+        a = [r for r in hnf(transpose(a)).hnf if any(r)]
+    divisors = [a[i][i] for i in range(len(a))]
     # enforce the divisibility chain
     for i in range(len(divisors)):
         for j in range(i + 1, len(divisors)):

@@ -451,7 +451,7 @@ FIXED_PRIME = {"table5": 5, "table6": 3, "example27": 2}
 def check_fixed_prime(item: str, p: int | None) -> None:
     """Reject a prime other than the one a p-specific item is stated at."""
     want = FIXED_PRIME.get(item)
-    if want and p and p != want:
+    if want and p is not None and p != want:
         raise SpecError(f"{item} is specific to p = {want}")
 
 
@@ -459,20 +459,20 @@ def reproduce(item: str, p: int | None = None) -> MatchReport:
     """Dispatch a named reproduction suite."""
     check_fixed_prime(item, p)
     if item == "table1":
-        return reproduce_table1(p or 5)
+        return reproduce_table1(5 if p is None else p)
     if item == "table2":
-        return reproduce_table2(p or 3)
+        return reproduce_table2(3 if p is None else p)
     if item == "table3":
-        return reproduce_table3(p or 5)
+        return reproduce_table3(5 if p is None else p)
     if item == "table4":
-        return reproduce_table4(p or 3)
+        return reproduce_table4(3 if p is None else p)
     if item == "table5":
         return reproduce_table5()
     if item == "table6":
         return reproduce_table6()
     if item in ("lemma42", "lemma56", "lemma58"):
         default = {"lemma42": 5, "lemma56": 3, "lemma58": 5}[item]
-        return reproduce_orbit_lemma(item, p or default)
+        return reproduce_orbit_lemma(item, default if p is None else p)
     if item == "example27":
         return reproduce_example27()[0]
     raise ValueError(f"unknown reproduction item {item!r}")

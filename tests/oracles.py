@@ -3,6 +3,8 @@ helpers that only the tests use.  No verdict path, CLI command or demo
 reaches any of them."""
 
 import json
+from itertools import combinations
+from math import gcd
 
 from fuschar.chartable import (
     ClassFunction,
@@ -24,7 +26,7 @@ from fuschar.constructions import (
 from fuschar.cyclotomic import Cyclotomic
 from fuschar.fusion import apply_merges
 from fuschar.groups import conjugacy_classes, enumerate_group
-from fuschar.intlinalg import mat_mul
+from fuschar.intlinalg import det_exact, mat_mul
 from fuschar.verify import _x_matrix
 
 
@@ -77,6 +79,24 @@ def induced_value_direct(p, psi_key, rho_degree, v_key):
     induced = induce_class_function(theta, h, n)
     n_classes = conjugacy_classes(n)
     return induced.values[n_classes.class_index_of(n, translation(p, vvec))]
+
+
+def smith_invariants_by_minors(matrix):
+    """Elementary divisors from the determinantal divisors: d1 * ... * di is
+    the gcd of all i x i minors.  The oracle for `smith_invariants`."""
+    m = len(matrix)
+    n = len(matrix[0]) if matrix else 0
+    divisors, prev = [], 1
+    for i in range(1, min(m, n) + 1):
+        g = 0
+        for rows in combinations(range(m), i):
+            for cols in combinations(range(n), i):
+                g = gcd(g, det_exact([[matrix[r][c] for c in cols] for r in rows]))
+        if g == 0:
+            break
+        divisors.append(g // prev)
+        prev = g
+    return divisors
 
 
 def report_round_trip(report_json):

@@ -21,6 +21,7 @@ from fuschar.intlinalg import (
     solve_left,
     transpose,
 )
+from oracles import smith_invariants_by_minors
 
 
 def test_hnf_examples():
@@ -210,6 +211,22 @@ def test_smith_divisor_chain():
             for x in divs:
                 prod *= x
             assert prod == abs(d)
+
+
+def test_smith_invariants_match_determinantal_divisors():
+    rng = random.Random(11)
+    shapes = [(m, n) for m in range(1, 5) for n in range(1, 5)]
+    for _ in range(150):
+        m, n = rng.choice(shapes)
+        a = random_matrix(rng, m, n, -6, 6)
+        if m > 1 and rng.random() < 0.4:  # rank deficient: last row from earlier ones
+            k = rng.randint(-3, 3)
+            a[-1] = [x + k * y for x, y in zip(a[0], a[-2])]
+        assert smith_invariants(a) == smith_invariants_by_minors(a), a
+    for m, n in shapes:
+        assert smith_invariants([[0] * n for _ in range(m)]) == []
+    assert smith_invariants([[2, 0], [0, 3]]) == [1, 6]
+    assert smith_invariants([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == [2, 6, 12]
 
 
 def test_kernel_and_solve():

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -341,6 +342,20 @@ def test_cli_spec_boundary_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_table_mode_value_order_must_divide_twice_the_group_order(tmp_path, capsys):
+    # an order-720720 value would build Phi_720720 before any check ran
+    one = {"order": 1, "coeffs": ["1"]}
+    path = tmp_path / "big_order.json"
+    path.write_text(json.dumps({"mode": "table", "table": {
+        "p": 2, "group_order": 2, "labels": ["1", "a"], "class_sizes": [1, 1],
+        "centralizer_orders": [2, 2], "merge_groups": [],
+        "basis_values": [[one, one], [one, {"order": 720720, "coeffs": ["-1"]}]]}}))
+    start = time.perf_counter()
+    assert main(["verify-fusion", "-f", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "value order 720720 does not divide" in capsys.readouterr().err
+
+
 def test_paper_exotic_error_verdict_exits_2(monkeypatch, capsys):
     import fuschar.exotic
     from fuschar.cyclotomic import Cyclotomic
@@ -431,6 +446,13 @@ def test_cli_lets_keyboard_interrupt_through(monkeypatch):
     monkeypatch.setattr(fuschar.exotic, "table_3492", interrupt)
     with pytest.raises(KeyboardInterrupt):
         main(["paper", "--item", "exotic:F_3492"])
+
+
+@pytest.mark.parametrize("item", ["table3", "table5", "lemma42", "exotic:F_3492"])
+def test_paper_p_0_is_rejected_not_defaulted(item, capsys):
+    assert main(["paper", "--item", item, "--p", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and ("p = " in err or "prime, got 0" in err)
 
 
 def test_paper_p_specific_items_reject_other_primes(monkeypatch, capsys):
