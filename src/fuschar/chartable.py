@@ -36,7 +36,7 @@ class ClassFunction:
 class CharacterTable:
     group: FiniteGroup
     classes: ConjugacyClassSet
-    chars: list[ClassFunction]
+    chars: tuple[ClassFunction, ...]
     conductor: int
 
     @property
@@ -155,19 +155,25 @@ def _find_dixon_prime(exponent: int, group_order: int) -> int:
 
 
 def dixon_character_table(G: FiniteGroup) -> CharacterTable:
+    """Irr(G), computed once per group: the table is cached on G and shared
+    by every caller, so its rows are a tuple (build a changed table with
+    `dataclasses.replace`).  A computation that raises caches nothing."""
+    if G._table is None:
+        G._table = _dixon_table(G)
+    return G._table
+
+
+def _dixon_table(G: FiniteGroup) -> CharacterTable:
     classes = conjugacy_classes(G)
-    k = len(classes.classes)
     exponent = G.exponent()
-    if k == 1:
-        table = CharacterTable(G, classes, [trivial_character(classes)], 1)
-        return table
+    # the trivial group is cyclic too: its one class generates it
     cyc = next((i for i, c in enumerate(classes.classes) if c.rep_order == G.order), None)
     if cyc is not None:
         chars = _cyclic_characters(classes.powers[cyc])
     else:
         chars = _dixon_characters(G, classes, exponent)
     chars.sort(key=lambda cf: _char_sort_key(cf, exponent))
-    table = CharacterTable(G, classes, chars, exponent)
+    table = CharacterTable(G, classes, tuple(chars), exponent)
     _validate_table(table)
     return table
 

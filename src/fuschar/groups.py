@@ -266,6 +266,7 @@ class FiniteGroup:
         self.designated = designated
         self.actions = actions
         self._classes = None
+        self._table = None
 
     @cached_property
     def elements(self) -> list:

@@ -179,7 +179,7 @@ def verify_group_case(G: FiniteGroup, p: int, label: str = "") -> VerificationRe
     report, lattice = _verify(fusion, irr_s, label)
     if report.verdict == "error":
         return report
-    irr_g = irr_s if S is G else dixon_character_table(G)
+    irr_g = dixon_character_table(G)
     dec = decomposition_matrix(irr_g, S, lattice)
     det_c = dec.det_c
     report.checks["det_C"] = str(det_c)
@@ -439,27 +439,40 @@ def builtin_corpus() -> list[tuple[str, int]]:
 
 def run_group_corpus(entries=None, progress=None, load=standard_group) -> dict:
     """verify_group_case over (name, p) entries, the group being load(name);
-    p = 0 stands for every prime divisor of |G|.  Per-entry errors are
-    isolated."""
+    p = 0 stands for every prime divisor of |G|.  Entries run group by group
+    (in first-entry order), each group loaded and tabled once and dropped
+    before the next.  Per-entry errors are isolated."""
     if entries is None:
         entries = builtin_corpus()
-    reports = []
+    by_group: dict = {}
     for name, p in entries:
-        done = []
+        by_group.setdefault(name, []).append(p)
+    reports = []
+    for name, asked in by_group.items():
         try:
             g = load(name)
-            primes = [p] if p else prime_divisors(g.order)
-            if not primes:  # a file still counts: an entry with no prime is an error
-                raise ValueError(f"group order {g.order} has no prime divisor")
-            for q in primes:
-                done.append(verify_group_case(g, q, f"{name}@p={q}"))
-        except Exception as exc:  # isolate per-entry problems
-            done.append(VerificationReport(f"{name}@p={p}" if p else name, p, 0, [],
-                                           0, 0, 0, "error", False, {"error": str(exc)}))
-        for rep in done:
-            reports.append(rep)
-            if progress:
-                progress(rep)
+        except Exception as exc:  # every entry of the name reports it
+            g = exc
+        for p in asked:
+            done = []
+            try:
+                if isinstance(g, Exception):
+                    raise g
+                primes = [p] if p else prime_divisors(g.order)
+                if not primes:  # a file still counts: an entry with no prime is an error
+                    raise ValueError(f"group order {g.order} has no prime divisor")
+                for q in primes:
+                    done.append(verify_group_case(g, q, f"{name}@p={q}"))
+            except Exception as exc:  # isolate per-entry problems
+                done.append(VerificationReport(f"{name}@p={p}" if p else name, p, 0, [],
+                                               0, 0, 0, "error", False, {"error": str(exc)}))
+            for rep in done:
+                reports.append(rep)
+                if progress:
+                    progress(rep)
+        if not isinstance(g, Exception):
+            g._table = None  # Irr(G) refers back to G: cut, G is freed at once
+        del g  # one group is held at a time
     failures = [r for r in reports if r.verdict != "verified"]
     return {
         "total": len(reports),

@@ -155,6 +155,10 @@ def test_criterion_3_group_corpus():
     with Criterion(3, "whole-group corpus with exact decomposition identities",
                    300.0):
         summary = run_group_corpus(builtin_corpus())
+        # the builtin corpus lists each group's primes together, so running
+        # group by group keeps the order that `fuschar corpus` prints
+        assert [r.label for r in summary["reports"]] == \
+            [f"{n}@p={q}" for n, q in builtin_corpus()]
         assert summary["verified"] == summary["total"]
         for rep in summary["reports"]:
             if rep.k == 1:

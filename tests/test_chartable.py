@@ -118,6 +118,40 @@ def test_validate_table_takes_each_distinct_norm_once(monkeypatch):
     assert sorted(calls) == [(1, True)] * len(distinct) + [(tab.k, False)] * tab.k
 
 
+def test_the_table_is_computed_once_per_group_and_shared():
+    g = standard_group("SL2_3")
+    tab = dixon_character_table(g)
+    assert dixon_character_table(g) is tab
+    assert isinstance(tab.chars, tuple)
+    fresh = dixon_character_table(standard_group("SL2_3"))
+    assert fresh is not tab
+    assert [chi.values for chi in fresh.chars] == [chi.values for chi in tab.chars]
+    assert fresh.conductor == tab.conductor
+
+
+def test_a_table_computation_that_raises_caches_nothing(monkeypatch):
+    import fuschar.chartable
+
+    def broken(table):
+        raise AssertionError("computed character is not irreducible")
+
+    g = standard_group("S4")
+    with monkeypatch.context() as m:
+        m.setattr(fuschar.chartable, "_validate_table", broken)
+        with pytest.raises(AssertionError, match="not irreducible"):
+            dixon_character_table(g)
+    tab = dixon_character_table(g)
+    assert sorted(tab.degrees()) == [1, 1, 2, 3, 3]
+    assert dixon_character_table(g) is tab
+
+
+def test_trivial_group_table():
+    # the trivial group is tabled as a cyclic group: its one class generates it
+    tab = dixon_character_table(cyclic_group(1))
+    assert tab.k == 1 and tab.conductor == 1
+    assert [chi.values for chi in tab.chars] == [(Cyclotomic.one(),)]
+
+
 def test_c2_table():
     tab = dixon_character_table(cyclic_group(2))
     values = sorted(tuple(v.rational_value() for v in chi.values) for chi in tab.chars)

@@ -128,6 +128,49 @@ def test_corpus_isolates_errors():
     assert summary["failures"][0].verdict == "error"
 
 
+def test_corpus_runs_each_group_once_in_the_order_of_its_first_entry(monkeypatch):
+    import weakref
+
+    import fuschar.chartable
+
+    entries = [("S4", 3), ("C6", 2), ("NOSUCH", 2), ("S4", 2), ("C6", 3), ("NOSUCH", 3)]
+    loads, held = [], []
+
+    def counted(name):
+        # the previous group is freed, without a full garbage collection,
+        # before the next one is loaded
+        assert all(ref() is None for ref in held)
+        loads.append(name)
+        g = standard_group(name)
+        held.append(weakref.ref(g))
+        return g
+
+    tabled = []
+    original = fuschar.chartable._dixon_table
+
+    def tabling(G):
+        tabled.append(G.order)
+        return original(G)
+
+    monkeypatch.setattr(fuschar.chartable, "_dixon_table", tabling)
+    seen = []
+    summary = run_group_corpus(entries, progress=seen.append, load=counted)
+    assert loads == ["S4", "C6", "NOSUCH"]
+    assert seen == summary["reports"]
+    reports = summary["reports"]
+    assert [r.label for r in reports] == ["S4@p=3", "S4@p=2", "C6@p=2", "C6@p=3",
+                                          "NOSUCH@p=2", "NOSUCH@p=3"]
+    # S4 and C6 are tabled once each, beside one Sylow subgroup per entry
+    assert tabled.count(24) == tabled.count(6) == 1
+    for rep in reports[:4]:
+        name, p = rep.label.split("@p=")
+        fresh = verify_group_case(standard_group(name), int(p), rep.label)
+        assert (rep.label, rep.verdict, rep.lhs_det, rep.rhs_product) == \
+            (fresh.label, fresh.verdict, fresh.lhs_det, fresh.rhs_product)
+    assert [r.verdict for r in reports] == ["verified"] * 4 + ["error"] * 2
+    assert all("NOSUCH" in r.checks["error"] for r in reports[4:])
+
+
 def test_table_mode_verification():
     rep = verify_table_fusion(table_3492())
     assert rep.verdict == "verified"
