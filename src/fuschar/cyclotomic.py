@@ -151,16 +151,13 @@ class Cyclotomic:
     # -- ring structure ---------------------------------------------------
 
     def embedded(self, order: int) -> "Cyclotomic":
-        """The same value in Z[zeta_order]; requires self.order | order."""
+        """The same value in Z[zeta_order]; requires self.order | order.  The
+        result is memoised per distinct value (`_embed`) and may be shared."""
         if order == self.order:
             return self
         if order % self.order:
             raise ValueError(f"cannot embed order {self.order} into {order}")
-        step = order // self.order
-        vec = [0] * order
-        for i, c in self.terms():
-            vec[i * step] = c
-        return Cyclotomic(order, vec)
+        return _embed(self.order, self.coeffs, order)
 
     def _pair(self, other) -> tuple["Cyclotomic", "Cyclotomic"]:
         if isinstance(other, int):
@@ -297,6 +294,15 @@ class Cyclotomic:
     def from_json(cls, data: dict) -> "Cyclotomic":
         return cls(spec_int(data["order"], "order"),
                    [spec_int(c, "coeffs") for c in data["coeffs"]])
+
+
+@lru_cache(maxsize=4096)
+def _embed(order: int, coeffs: tuple, target: int) -> Cyclotomic:
+    """Canonical order-`order` `coeffs` in Z[zeta_target], reduced modulo Phi_target;
+    the memo is bounded, since a run over many groups keeps meeting new values."""
+    vec = [0] * target
+    vec[::target // order] = coeffs
+    return Cyclotomic(target, vec)
 
 
 @lru_cache(maxsize=None)

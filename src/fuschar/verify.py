@@ -58,12 +58,16 @@ class VerificationReport:
 
 def _x_matrix(coeff_rows, value_rows, cols) -> list[list[Cyclotomic]]:
     """X[i][j] = sum_c coeff_rows[i][c] * value_rows[c][cols[j]], evaluated
-    only at the listed columns.  Each row drops its zero coefficients once."""
+    only at the listed columns.  Each row drops its zero coefficients once;
+    a unit row (one weight, equal to 1) is read off its value row."""
     out = []
     for coeffs in coeff_rows:
         used = [c for c, w in enumerate(coeffs) if w]
         weights = [coeffs[c] for c in used]
-        out.append([cyclo_dot(weights, [value_rows[c][j] for c in used]) for j in cols])
+        if weights == [1]:
+            out.append([value_rows[used[0]][j] for j in cols])
+        else:
+            out.append([cyclo_dot(weights, [value_rows[c][j] for c in used]) for j in cols])
     return out
 
 
@@ -176,6 +180,8 @@ def verify_group_case(G: FiniteGroup, p: int, label: str = "") -> VerificationRe
                                   time.perf_counter() - t0)
     fusion = fusion_from_group(G, S, p)
     irr_s = dixon_character_table(S)
+    if S is not G:
+        S._table = None  # Irr(S) refers back to S: uncached, S is freed on return
     report, lattice = _verify(fusion, irr_s, label)
     if report.verdict == "error":
         return report
@@ -202,27 +208,17 @@ def _check_dx_identity(dec, lattice: StableLattice, irr_g: CharacterTable,
     are the G-classes of the fusion representatives.  X = B Psi, so D X is
     evaluated as (D B) Psi: the integer product first, then the values of
     Irr(S) at the representatives' S-classes.  Each distinct row of D B is
-    evaluated once, and every value is compared as its canonical vector at
-    the conductor of G (exp(S) divides exp(G))."""
+    evaluated once, and values are compared with `==` (canonical forms are
+    unique, so it embeds only when the orders differ)."""
     restricted = [chi for i, chi in enumerate(irr_g.chars) if i not in dec.outside_rows]
     fusion = lattice.fusion
     sc = conjugacy_classes(fusion.S)
-    e = irr_g.conductor
     db_rows = [tuple(row) for row in mat_mul(dec.d_matrix, lattice.basis)]
     distinct = list(dict.fromkeys(db_rows))
-    dx = _x_matrix(distinct, [psi.values for psi in lattice.irr_s.chars],
-                   [sc.class_index_of(fusion.S, fc.rep) for fc in fusion.classes])
-    dx_coeffs = {row: [v.embedded(e).coeffs for v in dx_row]
-                 for row, dx_row in zip(distinct, dx)}
-    chi_coeffs: dict[int, tuple] = {}  # by identity: the table holds every value
-
-    def coeffs(v):
-        c = chi_coeffs.get(id(v))
-        if c is None:
-            c = chi_coeffs[id(v)] = v.embedded(e).coeffs
-        return c
-
-    return all(dx_coeffs[row] == [coeffs(chi.values[gcls]) for gcls in g_cols]
+    s_cols = [sc.class_index_of(fusion.S, fc.rep) for fc in fusion.classes]
+    psi_values = [psi.values for psi in lattice.irr_s.chars]
+    dx = dict(zip(distinct, _x_matrix(distinct, psi_values, s_cols)))
+    return all(dx[row] == [chi.values[gcls] for gcls in g_cols]
                for row, chi in zip(db_rows, restricted))
 
 

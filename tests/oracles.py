@@ -23,11 +23,10 @@ from fuschar.constructions import (
     linear_part,
     translation,
 )
-from fuschar.cyclotomic import Cyclotomic
+from fuschar.cyclotomic import Cyclotomic, cyclo_dot
 from fuschar.fusion import apply_merges
 from fuschar.groups import conjugacy_classes, enumerate_group
 from fuschar.intlinalg import det_exact, mat_mul
-from fuschar.verify import _x_matrix
 
 
 def full_merge(base):
@@ -117,14 +116,28 @@ def validate_table_by_inner_products(table):
 
 
 def dx_identity_by_values(dec, lattice, irr_g, g_cols):
-    """`verify._check_dx_identity` over every row of D B, comparing values
-    with `Cyclotomic.__eq__`: the oracle for the distinct-row check."""
+    """`verify._check_dx_identity` over every row of D B, each entry of
+    (D B) Psi a full `cyclo_dot` (no unit row is read off), compared with
+    `Cyclotomic.__eq__`: the oracle for the distinct-row check."""
     restricted = [chi for i, chi in enumerate(irr_g.chars) if i not in dec.outside_rows]
     fusion = lattice.fusion
     sc = conjugacy_classes(fusion.S)
-    dx = _x_matrix(mat_mul(dec.d_matrix, lattice.basis),
-                   [psi.values for psi in lattice.irr_s.chars],
-                   [sc.class_index_of(fusion.S, fc.rep) for fc in fusion.classes])
-    return all(dx_row[col] == chi.values[gcls]
-               for dx_row, chi in zip(dx, restricted)
-               for col, gcls in enumerate(g_cols))
+    s_cols = [sc.class_index_of(fusion.S, fc.rep) for fc in fusion.classes]
+    psis = lattice.irr_s.chars
+    return all(cyclo_dot(row, [psi.values[scls] for psi in psis]) == chi.values[gcls]
+               for row, chi in zip(mat_mul(dec.d_matrix, lattice.basis), restricted)
+               for scls, gcls in zip(s_cols, g_cols))
+
+
+def embedded_unmemoised(value, order):
+    """`Cyclotomic.embedded` computed afresh on every call: the oracle for
+    the memoised embedding."""
+    if order == value.order:
+        return value
+    if order % value.order:
+        raise ValueError(f"cannot embed order {value.order} into {order}")
+    step = order // value.order
+    vec = [0] * order
+    for i, c in value.terms():
+        vec[i * step] = c
+    return Cyclotomic(order, vec)

@@ -6,11 +6,14 @@ from math import lcm
 
 from fuschar.cyclotomic import (
     Cyclotomic,
+    _embed,
     _reduce_mod_phi,
     cyclo_dot,
     cyclotomic_polynomial,
     exact_div,
 )
+
+from oracles import embedded_unmemoised
 
 
 def z(e, k=1):
@@ -49,6 +52,33 @@ def test_embed_preserves_value():
     assert a.embedded(12).minimized().order == 3
     with pytest.raises(ValueError):
         a.embedded(10)
+
+
+def test_memoised_embedding_matches_the_unmemoised_oracle():
+    rng = random.Random(2026)
+    targets = [2 ** k for k in range(7)] + [59, 61]
+    for n in targets:
+        for o in (d for d in range(1, n + 1) if n % d == 0):
+            for trial in range(12):
+                if trial % 3 == 0:  # dense: every coefficient below phi(o) may be nonzero
+                    a = random_cyclo(rng, o)
+                elif trial % 3 == 1:
+                    a = z(o, rng.randrange(o)) * rng.randint(-3, 3)
+                else:
+                    a = Cyclotomic(o, [rng.choice([0, 0, 0, rng.randint(-4, 4)])
+                                       for _ in range(o)])
+                want = embedded_unmemoised(a, n)
+                for got in (a.embedded(n), Cyclotomic(o, a.coeffs).embedded(n)):
+                    assert (got.order, got.coeffs) == (want.order, want.coeffs), (o, n, a)
+                    assert got.terms() == want.terms()
+    # equal inputs share one memoised result; the same order is the value itself
+    a = Cyclotomic(8, (1, 2, 0, -1, 0, 0, 0, 0))
+    assert a.embedded(64) is Cyclotomic(8, a.coeffs).embedded(64)
+    assert a.embedded(8) is a
+    assert _embed.cache_info().currsize > 0
+    for value, order in ((z(64), 96), (z(59), 61), (z(8), 4)):
+        with pytest.raises(ValueError):
+            value.embedded(order)
 
 
 def test_rational_detection():

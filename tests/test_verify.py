@@ -401,7 +401,7 @@ def _dx_check_inputs(g, p):
 
 def test_dx_identity_agrees_with_the_value_oracle():
     for name, p in (("S4", 2), ("S4", 3), ("GL2_3", 2), ("SL2_3", 3), ("A5", 5),
-                    ("D12", 2), ("C60", 2)):
+                    ("D12", 2), ("D62", 31), ("C60", 2)):
         args = _dx_check_inputs(standard_group(name), p)
         assert _check_dx_identity(*args) is dx_identity_by_values(*args) is True
 
@@ -426,11 +426,10 @@ def test_dx_identity_sees_one_corrupted_value_on_a_shared_row():
 
 
 def test_dx_identity_evaluates_each_distinct_row_once(monkeypatch):
+    """One cyclo_dot per distinct row of D B that is not a single irreducible,
+    per fusion column: a unit row is read off Irr(S)."""
     import fuschar.verify
 
-    dec, lattice, irr_g, g_cols = _dx_check_inputs(cyclic_group(60), 2)
-    rows = {tuple(row) for row in mat_mul(dec.d_matrix, lattice.basis)}
-    assert len(rows) == 4 < len(dec.d_matrix) == 60  # Irr(C60) onto Irr(C4)
     calls = []
     original = fuschar.verify.cyclo_dot
 
@@ -439,8 +438,78 @@ def test_dx_identity_evaluates_each_distinct_row_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(fuschar.verify, "cyclo_dot", counted)
-    assert _check_dx_identity(dec, lattice, irr_g, g_cols) is True
-    assert len(calls) == len(rows) * len(g_cols)
+    # Irr(C60) onto Irr(C4): unit rows only; the degree-2 character of S3
+    # restricts to psi1 + psi2 on C3, and each of D62's 15 to a pair on C31;
+    # both degree-2 characters of D12 restrict to the one sum psi1 + psi2 on C3,
+    # so evaluating every row rather than every distinct row doubles its calls
+    for g, p, n_rows, n_sums, n_sum_rows in (
+            (cyclic_group(60), 2, 4, 0, 0), (standard_group("S3"), 3, 2, 1, 1),
+            (standard_group("D12"), 3, 2, 1, 2), (standard_group("D62"), 31, 16, 15, 15)):
+        dec, lattice, irr_g, g_cols = _dx_check_inputs(g, p)
+        db_rows = [tuple(row) for row in mat_mul(dec.d_matrix, lattice.basis)]
+        rows = set(db_rows)
+        assert len(rows) == n_rows < len(dec.d_matrix)
+        assert sum([w for w in row if w] != [1] for row in rows) == n_sums
+        assert sum([w for w in row if w] != [1] for row in db_rows) == n_sum_rows
+        calls.clear()
+        assert _check_dx_identity(dec, lattice, irr_g, g_cols) is True
+        assert len(calls) == n_sums * len(g_cols)
+
+
+def test_x_matrix_reads_unit_rows_off_and_sums_the_rest():
+    values = [[Cyclotomic.root_of_unity(4, k * j) for k in range(4)] for j in range(4)]
+    cols = [3, 0, 1]
+    rows = [[0, 1, 0, 0], [0, 0, 0, 1], [0, -1, 0, 0], [0, 2, 0, 0], [1, 1, 0, 0],
+            [1, 0, -1, 1], [0, 0, 0, 0]]
+    x = _x_matrix(rows, values, cols)
+    for row, x_row in zip(rows, x):
+        assert x_row == [sum((w * values[c][j] for c, w in enumerate(row)), Cyclotomic.zero())
+                         for j in cols]
+    assert all(a is values[1][j] for a, j in zip(x[0], cols))
+
+
+def test_corpus_reports_do_not_depend_on_a_warm_embedding_memo():
+    from fuschar.cyclotomic import _embed
+
+    entries = [("C64", 2), ("D62", 31), ("S4", 3), ("C62", 31)]
+    _embed.cache_clear()
+    cold = run_group_corpus(entries)["reports"]
+    warm = run_group_corpus(entries)["reports"]
+    assert _embed.cache_info().hits > 0
+    assert [r.verdict for r in cold] == ["verified"] * 4
+    assert [(r.label, r.verdict, r.lhs_det, r.rhs_product, r.checks) for r in cold] == \
+        [(r.label, r.verdict, r.lhs_det, r.rhs_product, r.checks) for r in warm]
+
+
+def test_corpus_frees_each_sylow_subgroup_without_a_garbage_collection(monkeypatch):
+    """Irr(S) refers back to S; verify_group_case cuts that cycle, so with the
+    collector off no Sylow subgroup is left alive when the next group loads."""
+    import gc
+    import weakref
+
+    import fuschar.verify
+
+    held, alive = [], []
+    original = fuschar.verify.sylow_subgroup
+
+    def tracked(G, p):
+        S = original(G, p)
+        held.append(weakref.ref(S))
+        return S
+
+    def load(name):
+        alive.append(sum(ref() is not None for ref in held))
+        return standard_group(name)
+
+    monkeypatch.setattr(fuschar.verify, "sylow_subgroup", tracked)
+    names = ["S4", "D12", "C6", "A5", "C8", "GL2_3", "S3"]
+    gc.disable()
+    try:
+        summary = run_group_corpus([(name, 0) for name in names], load=load)
+    finally:
+        gc.enable()
+    assert summary["verified"] == summary["total"] == len(held) == 14
+    assert len(alive) == len(names) and max(alive) == 0
 
 
 def test_b_f_stable_fails_when_a_row_breaks_constancy():
