@@ -5,7 +5,7 @@ order-162 table-mode instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .chartable import CharacterTable, dixon_character_table
@@ -186,9 +186,7 @@ def corrupted_certificate_f1(p: int) -> InductionCertificate:
     """Negative control: eta swapped for the trivial character, whose value
     difference on the fused pair is 0."""
     cert = certificate_f1(p)
-    cert.eta = 0
-    return InductionCertificate(cert.label + ":corrupted", cert.base, cert.target,
-                                cert.b_n, cert.b_f, 0, cert.z, cert.u)
+    return replace(cert, label=cert.label + ":corrupted", eta=0)
 
 
 def auto_step_certificate(ctx: OvergroupContext, base_fusion: FusionData,
@@ -360,8 +358,7 @@ def _psu_first_certificate(ctx: OvergroupContext) -> InductionCertificate:
 def certificate_psu_59(p: int = 5) -> InductionCertificate:
     """Variant of the first chain step with eta the degree p-1 inflation."""
     cert = _psu_first_certificate(overgroup_context(p, "N_gamma4star"))
-    return InductionCertificate(cert.label + ":theta", cert.base, cert.target,
-                                cert.b_n, cert.b_f, 1, cert.z, cert.u)
+    return replace(cert, label=cert.label + ":theta", eta=1)
 
 
 # -- the order-162 table-mode instance ------------------------------------------

@@ -44,16 +44,6 @@ def transpose(m: list[list[int]]) -> list[list[int]]:
     return [list(col) for col in zip(*m)] if m else []
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    return g, x, y
-
-
 @dataclass(frozen=True)
 class HNFResult:
     hnf: list[list[int]]
@@ -91,7 +81,11 @@ def hnf(matrix: list[list[int]]) -> HNFResult:
 
     transform @ matrix == hnf; pivots positive, entries above each pivot
     reduced into [0, pivot); zero rows pushed to the bottom.  Output is the
-    canonical HNF of the row lattice, so it is deterministic.
+    canonical HNF of the row lattice, so it is deterministic.  Each column
+    is cleared by Euclid on the least pivot: the row with the least nonzero
+    entry reduces the others by floor quotients until it alone is nonzero.
+    `_row_sub` is the one row operation, which keeps intermediate entries
+    small where an xgcd combination of two rows lets them grow.
     """
     h = [list(r) for r in matrix]
     m = len(h)
@@ -100,26 +94,19 @@ def hnf(matrix: list[list[int]]) -> HNFResult:
     pivots = []
     ncols = len(h[0]) if h else 0
     for col in range(ncols):
-        # gcd out column entries below `row`, keeping the minimal positive pivot
-        pivot_row = None
-        for i in range(row, m):
-            if h[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        live = [i for i in range(row, m) if h[i][col]]
+        if not live:
             continue
-        if pivot_row != row:
-            h[row], h[pivot_row] = h[pivot_row], h[row]
-            u[row], u[pivot_row] = u[pivot_row], u[row]
-        for i in range(row + 1, m):
-            while h[i][col]:
-                a, b = h[row][col], h[i][col]
-                if b % a == 0:
-                    q = b // a
-                    _row_sub(h, u, i, row, q)
-                else:
-                    g, x, y = _xgcd(a, b)
-                    _row_combine(h, u, row, i, x, y, a // g, b // g)
+        while len(live) > 1:
+            piv = min(live, key=lambda i: abs(h[i][col]))
+            for i in live:
+                if i != piv:
+                    _row_sub(h, u, i, piv, h[i][col] // h[piv][col])
+            live = [i for i in live if h[i][col]]
+        piv = live[0]
+        if piv != row:
+            h[row], h[piv] = h[piv], h[row]
+            u[row], u[piv] = u[piv], u[row]
         if h[row][col] < 0:
             h[row] = [-v for v in h[row]]
             u[row] = [-v for v in u[row]]
@@ -141,16 +128,6 @@ def _row_sub(h, u, i, j, q):
     ui, uj = u[i], u[j]
     for k in range(len(ui)):
         ui[k] -= q * uj[k]
-
-
-def _row_combine(h, u, i, j, x, y, ag, bg):
-    # rows (i, j) <- (x*i + y*j, -bg*i + ag*j); determinant of the 2x2 block is 1
-    for mat in (h, u):
-        ri, rj = mat[i], mat[j]
-        for k in range(len(ri)):
-            a, b = ri[k], rj[k]
-            ri[k] = x * a + y * b
-            rj[k] = -bg * a + ag * b
 
 
 def kernel_rows(matrix: list[list[int]]) -> list[list[int]]:

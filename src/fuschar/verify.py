@@ -174,10 +174,6 @@ def verify_group_case(G: FiniteGroup, p: int, label: str = "") -> VerificationRe
     with the exact decomposition-matrix identities as cross-checks."""
     t0 = time.perf_counter()
     S = sylow_subgroup(G, p)
-    if S.order == 1:
-        return VerificationReport(label, p, 1, [("identity", 1, 1)], 1, 1, 1,
-                                  "verified", True, {"trivial_sylow": True},
-                                  time.perf_counter() - t0)
     fusion = fusion_from_group(G, S, p)
     irr_s = dixon_character_table(S)
     if S is not G:

@@ -26,7 +26,7 @@ from fuschar.constructions import (
 from fuschar.cyclotomic import Cyclotomic, cyclo_dot
 from fuschar.fusion import apply_merges
 from fuschar.groups import conjugacy_classes, enumerate_group
-from fuschar.intlinalg import det_exact, mat_mul
+from fuschar.intlinalg import HNFResult, _row_sub, det_exact, identity_matrix, mat_mul
 
 
 def full_merge(base):
@@ -78,6 +78,73 @@ def induced_value_direct(p, psi_key, rho_degree, v_key):
     induced = induce_class_function(theta, h, n)
     n_classes = conjugacy_classes(n)
     return induced.values[n_classes.class_index_of(n, translation(p, vvec))]
+
+
+def _xgcd(a, b):
+    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
+    while ng:
+        q = g // ng
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+        g, ng = ng, g - q * ng
+    return g, x, y
+
+
+def _row_combine(h, u, i, j, x, y, ag, bg):
+    # rows (i, j) <- (x*i + y*j, -bg*i + ag*j); determinant of the 2x2 block is 1
+    for mat in (h, u):
+        ri, rj = mat[i], mat[j]
+        for k in range(len(ri)):
+            a, b = ri[k], rj[k]
+            ri[k] = x * a + y * b
+            rj[k] = -bg * a + ag * b
+
+
+def hnf_by_xgcd(matrix):
+    """Hermite normal form by xgcd row combinations against the first
+    nonzero pivot.  The oracle for `intlinalg.hnf`: the same canonical form,
+    reached by a different elimination whose intermediate entries can grow
+    far larger."""
+    h = [list(r) for r in matrix]
+    m = len(h)
+    u = identity_matrix(m)
+    row = 0
+    pivots = []
+    ncols = len(h[0]) if h else 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(row, m) if h[i][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != row:
+            h[row], h[pivot_row] = h[pivot_row], h[row]
+            u[row], u[pivot_row] = u[pivot_row], u[row]
+        for i in range(row + 1, m):
+            while h[i][col]:
+                a, b = h[row][col], h[i][col]
+                if b % a == 0:
+                    _row_sub(h, u, i, row, b // a)
+                else:
+                    g, x, y = _xgcd(a, b)
+                    _row_combine(h, u, row, i, x, y, a // g, b // g)
+        if h[row][col] < 0:
+            h[row] = [-v for v in h[row]]
+            u[row] = [-v for v in u[row]]
+        for i in range(row):
+            q = h[i][col] // h[row][col]
+            if q:
+                _row_sub(h, u, i, row, q)
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    return HNFResult(h, u, row, tuple(pivots))
+
+
+def kernel_rows_by_xgcd(matrix):
+    """`intlinalg.kernel_rows` with both Hermite forms taken by the oracle."""
+    res = hnf_by_xgcd(matrix)
+    rows = res.transform[res.rank:]
+    return [r for r in hnf_by_xgcd(rows).hnf if any(r)] if rows else []
 
 
 def smith_invariants_by_minors(matrix):

@@ -21,7 +21,7 @@ from fuschar.intlinalg import (
     solve_left,
     transpose,
 )
-from oracles import smith_invariants_by_minors
+from oracles import hnf_by_xgcd, kernel_rows_by_xgcd, smith_invariants_by_minors
 
 
 def test_hnf_examples():
@@ -227,6 +227,45 @@ def test_smith_invariants_match_determinantal_divisors():
         assert smith_invariants([[0] * n for _ in range(m)]) == []
     assert smith_invariants([[2, 0], [0, 3]]) == [1, 6]
     assert smith_invariants([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == [2, 6, 12]
+
+
+def constraint_shaped(rng, m, n, rank):
+    """m x n of rank at most `rank`: each row a +-1 combination of sparse rows,
+    as the constancy constraints of a stable lattice are."""
+    sparse = [[rng.choice((-2, -1, 1, 2)) if rng.random() < 0.1 else 0 for _ in range(n)]
+              for _ in range(rank)]
+    rows = []
+    for _ in range(m):
+        row = [0] * n
+        for s in rng.sample(sparse, rng.randint(1, 4)):
+            sign = rng.choice((-1, 1))
+            row = [x + sign * y for x, y in zip(row, s)]
+        rows.append(row)
+    return rows
+
+
+def test_hnf_matches_xgcd_oracle():
+    rng = random.Random(18)
+    cases = [random_matrix(rng, m, n) for m, n in
+             [(4, 4), (5, 5), (7, 3), (9, 2), (3, 7), (2, 9), (1, 6), (6, 1)]]
+    cases += [[[0] * n for _ in range(m)] for m, n in [(1, 1), (3, 5), (5, 3)]]
+    for m, n in [(4, 4), (6, 3), (3, 6)]:  # rank deficient: rows from two others
+        a = random_matrix(rng, m, n)
+        for i in range(2, m):
+            c, d = rng.randint(-3, 3), rng.randint(-3, 3)
+            a[i] = [c * x + d * y for x, y in zip(a[0], a[1])]
+        cases.append(a)
+    cases += [constraint_shaped(rng, 20, 60, 15) for _ in range(3)]
+    cases += [constraint_shaped(rng, 12, 30, 8), transpose(constraint_shaped(rng, 12, 30, 8))]
+    assert [hnf(a).rank for a in cases[-8:]] == [2, 2, 2, 14, 14, 15, 8, 8]
+    for a in cases:
+        res, ref = hnf(a), hnf_by_xgcd(a)
+        assert (res.hnf, res.rank, res.pivots) == (ref.hnf, ref.rank, ref.pivots), a
+        assert mat_mul(res.transform, a) == res.hnf
+        assert abs(det_exact(res.transform)) == 1
+        if res.rank == len(a):  # independent rows: the transform is unique
+            assert res.transform == ref.transform
+        assert kernel_rows(a) == kernel_rows_by_xgcd(a), a
 
 
 def test_kernel_and_solve():

@@ -3,8 +3,11 @@ from math import gcd
 
 import pytest
 
+import fuschar.intlinalg
+import fuschar.stable
 from fuschar.chartable import dixon_character_table, restrict_table
 from fuschar.fusion import apply_merges, fusion_from_group, fusion_of_self
+from fuschar.exotic import overgroup_context
 from fuschar.groups import (
     FpMat,
     Perm,
@@ -24,7 +27,7 @@ from fuschar.stable import (
     stable_character_basis,
 )
 
-from oracles import full_merge
+from oracles import full_merge, kernel_rows_by_xgcd
 
 
 def test_self_fusion_gives_identity_basis():
@@ -202,3 +205,22 @@ def test_pivot_columns_are_the_greedy_choice():
             continue
         assert _pivot_columns(basis, degrees) == greedy_pivot_columns(basis, degrees)
         assert len(_pivot_columns(basis, degrees)) == r
+
+
+def test_stable_lattice_hnf_keeps_entries_small(monkeypatch):
+    """The kernel of N_gamma's base fusion at p = 5 (a 49 x 172 system) is
+    eliminated with every written entry under 64 bits; an xgcd combination
+    of two rows reaches 160 on it."""
+    ctx = overgroup_context(5, "N_gamma")
+    row_sub = fuschar.intlinalg._row_sub
+    widest = [0]
+
+    def recording(h, u, i, j, q):
+        row_sub(h, u, i, j, q)
+        widest[0] = max(widest[0], *(abs(x).bit_length() for x in h[i] + u[i]))
+
+    monkeypatch.setattr(fuschar.intlinalg, "_row_sub", recording)
+    basis = stable_character_basis(ctx.irr_s, ctx.base).basis
+    assert 0 < widest[0] <= 64
+    monkeypatch.setattr(fuschar.stable, "kernel_rows", kernel_rows_by_xgcd)
+    assert stable_character_basis(ctx.irr_s, ctx.base).basis == basis

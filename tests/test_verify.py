@@ -120,6 +120,18 @@ def test_group_case_reports():
     assert rep.verdict == "verified" and rep.k == 1
 
 
+@pytest.mark.parametrize("name,p", [("S4", 5), ("C7", 2), ("A5", 7)])
+def test_trivial_sylow_takes_the_general_path(name, p):
+    """With p not dividing |G|, S = 1 and its one class gives k = 1; the
+    cross-checks still run: det C = |G| and both identities hold."""
+    g = standard_group(name)
+    rep = verify_group_case(g, p, name)
+    assert rep.verdict == "verified" and rep.k == 1
+    assert rep.checks["det_C"] == str(g.order)
+    assert rep.checks["eq_3_2"] is True
+    assert rep.checks["restriction_identity"] is True
+
+
 def test_corpus_isolates_errors():
     summary = run_group_corpus([("C6", 2), ("NOSUCH", 2), ("S3", 3)])
     assert summary["total"] == 3
