@@ -9,17 +9,16 @@ summation over power maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from operator import mul
+from typing import NamedTuple
 
 from .cyclotomic import Cyclotomic, cyclo_dot, exact_div
 from .groups import ConjugacyClassSet, FiniteGroup, class_fusion_map, conjugacy_classes
 from .intlinalg import is_prime, mat_mul, primitive_root, rref_mod, transpose
 
 
-@dataclass(frozen=True)
-class ClassFunction:
+class ClassFunction(NamedTuple):
     """Values of a class function, indexed by conjugacy-class position."""
 
     values: tuple
@@ -32,8 +31,7 @@ class ClassFunction:
         return self.values[0].rational_value()
 
 
-@dataclass
-class CharacterTable:
+class CharacterTable(NamedTuple):
     group: FiniteGroup
     classes: ConjugacyClassSet
     chars: tuple[ClassFunction, ...]
@@ -157,7 +155,7 @@ def _find_dixon_prime(exponent: int, group_order: int) -> int:
 def dixon_character_table(G: FiniteGroup) -> CharacterTable:
     """Irr(G), computed once per group: the table is cached on G and shared
     by every caller, so its rows are a tuple (build a changed table with
-    `dataclasses.replace`).  A computation that raises caches nothing."""
+    `table._replace`).  A computation that raises caches nothing."""
     if G._table is None:
         G._table = _dixon_table(G)
     return G._table

@@ -5,8 +5,8 @@ of the Gamma-action on V, and brute-force point counts over PGL_2(p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .groups import FiniteGroup, FpMat, enumerate_group
 from .intlinalg import is_prime, primitive_root
@@ -25,8 +25,7 @@ def smallest_nonresidue_epsilon(p: int) -> int:
     raise ValueError(f"no valid epsilon modulo {p}")
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
+class ConstructionParams(NamedTuple):
     p: int
     epsilon: int
     lam: int
@@ -178,8 +177,7 @@ def sylow_inside(p: int, which: str) -> FiniteGroup:
 # -- orbit analysis of Gamma on V ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitInfo:
+class OrbitInfo(NamedTuple):
     rep: tuple[int, int, int]
     size: int
     stabilizer_order: int

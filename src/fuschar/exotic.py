@@ -5,8 +5,8 @@ order-162 table-mode instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 from .chartable import CharacterTable, dixon_character_table
 from .constructions import build_group, is_translation, sylow_inside
@@ -17,8 +17,7 @@ from .stable import restriction_coordinates
 from .verify import InductionCertificate, _x_matrix
 
 
-@dataclass
-class RestrictionRow:
+class RestrictionRow(NamedTuple):
     """One distinct restriction of an overgroup irreducible to S."""
 
     coords: tuple[int, ...]
@@ -27,8 +26,7 @@ class RestrictionRow:
     n_preimages: int
 
 
-@dataclass
-class OvergroupContext:
+class OvergroupContext(NamedTuple):
     p: int
     which: str
     N: FiniteGroup
@@ -186,7 +184,7 @@ def corrupted_certificate_f1(p: int) -> InductionCertificate:
     """Negative control: eta swapped for the trivial character, whose value
     difference on the fused pair is 0."""
     cert = certificate_f1(p)
-    return replace(cert, label=cert.label + ":corrupted", eta=0)
+    return cert._replace(label=cert.label + ":corrupted", eta=0)
 
 
 def auto_step_certificate(ctx: OvergroupContext, base_fusion: FusionData,
@@ -358,7 +356,7 @@ def _psu_first_certificate(ctx: OvergroupContext) -> InductionCertificate:
 def certificate_psu_59(p: int = 5) -> InductionCertificate:
     """Variant of the first chain step with eta the degree p-1 inflation."""
     cert = _psu_first_certificate(overgroup_context(p, "N_gamma4star"))
-    return replace(cert, label=cert.label + ":theta", eta=1)
+    return cert._replace(label=cert.label + ":theta", eta=1)
 
 
 # -- the order-162 table-mode instance ------------------------------------------

@@ -6,15 +6,14 @@ partition, or (table mode) from explicit class data without any group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cyclotomic import Cyclotomic
 from .groups import FiniteGroup, class_fusion_map, conjugacy_classes
 from .intlinalg import is_prime, p_part, spec_int
 
 
-@dataclass(frozen=True)
-class FusionClass:
+class FusionClass(NamedTuple):
     s_class_indices: tuple[int, ...]
     rep: object
     rep_order: int
@@ -22,15 +21,19 @@ class FusionClass:
     size: int
 
 
-@dataclass
 class FusionData:
-    S: FiniteGroup
-    p: int
-    classes: list[FusionClass]
-    provenance: str
-    saturation_certified: bool
-    sylow_in_overgroup: bool | None = None
-    _class_of_s_class: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("S", "p", "classes", "provenance", "saturation_certified",
+                 "sylow_in_overgroup", "_class_of_s_class")
+
+    def __init__(self, S: FiniteGroup, p: int, classes: list[FusionClass], provenance: str,
+                 saturation_certified: bool, sylow_in_overgroup: bool | None = None) -> None:
+        self.S = S
+        self.p = p
+        self.classes = classes
+        self.provenance = provenance
+        self.saturation_certified = saturation_certified
+        self.sylow_in_overgroup = sylow_in_overgroup
+        self._class_of_s_class = {}  # S-class index -> fusion class index
 
     @property
     def k(self) -> int:
@@ -150,7 +153,6 @@ def centralizer_product(F: FusionData) -> int:
 # -- table mode ----------------------------------------------------------------
 
 
-@dataclass
 class TableFusion:
     """Fusion data given by explicit class data instead of a group.
 
@@ -159,16 +161,20 @@ class TableFusion:
     produces the fusion partition to verify.
     """
 
-    p: int
-    group_order: int
-    labels: list[str]
-    class_sizes: list[int]
-    centralizer_orders: list[int]
-    basis_values: list[list[Cyclotomic]]
-    merge_groups: list[list[int]]  # groups of column indices to identify
-    name: str = "table-mode"
+    __slots__ = ("p", "group_order", "labels", "class_sizes", "centralizer_orders",
+                 "basis_values", "merge_groups", "name")
 
-    def __post_init__(self) -> None:
+    def __init__(self, p: int, group_order: int, labels: list[str], class_sizes: list[int],
+                 centralizer_orders: list[int], basis_values: list[list[Cyclotomic]],
+                 merge_groups: list[list[int]], name: str = "table-mode") -> None:
+        self.p = p
+        self.group_order = group_order
+        self.labels = labels
+        self.class_sizes = class_sizes
+        self.centralizer_orders = centralizer_orders
+        self.basis_values = basis_values
+        self.merge_groups = merge_groups  # groups of column indices to identify
+        self.name = name
         k = len(self.labels)
         if not is_prime(self.p):
             raise ValueError(f"table-mode p = {self.p} is not prime")

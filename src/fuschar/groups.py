@@ -6,10 +6,10 @@ class fusion inside an overgroup.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 from operator import eq
+from typing import NamedTuple
 
 from .intlinalg import is_prime, p_part, rref_mod
 
@@ -421,8 +421,7 @@ def enumerate_group(generators: list, max_order: int | None = None,
                        dict(designated or {}), actions)
 
 
-@dataclass(frozen=True)
-class ConjClass:
+class ConjClass(NamedTuple):
     rep: object
     size: int
     centralizer_order: int
@@ -430,8 +429,7 @@ class ConjClass:
     member_indices: frozenset
 
 
-@dataclass(frozen=True)
-class ConjugacyClassSet:
+class ConjugacyClassSet(NamedTuple):
     classes: tuple
     class_of: tuple  # element position -> class index
     powers: tuple  # powers[i][r]: the class of classes[i].rep ** r, for r < rep_order
@@ -444,21 +442,28 @@ CENTRALIZER_CHECK_LIMIT = 1000
 
 
 def _checked_powers(actions: PositionActions, inv: array, rep: int, cent: int | None) -> list:
-    """Positions of rep ** r for r below its order, walked along x -> x*rep
-    from the identity.  Unless cent is None, first checks by direct count that
-    cent elements x have x*rep = rep*x: with f(x) = x^-1 * rep, f(f(x)) is
-    rep^-1 * x * rep."""
-    by_rep = actions.right(rep).tolist()
-    if cent is not None:
+    """Positions of rep ** r for r below its order, each the previous one
+    times rep.  Unless cent is None, first checks by direct count that cent
+    elements x have x*rep = rep*x: with f(x) = x^-1 * rep, f(f(x)) is
+    rep^-1 * x * rep.  That walk of the group then multiplies by rep; else rep's
+    word does, in ord(rep) x |word| steps (a word can be as long as the group)."""
+    if cent is None:
+        times_rep = actions.word(rep)
+    else:
+        by_rep = actions.right(rep).tolist()
         f = list(map(by_rep.__getitem__, inv))
         if sum(map(eq, map(f.__getitem__, f), range(len(f)))) != cent:
             raise AssertionError("orbit-stabilizer centralizer order failed direct count")
+        times_rep = [by_rep]
     one = actions.bfs[0]
     pw = [one]
-    while by_rep[pw[-1]] != one:
-        if len(pw) == len(by_rep):
+    x = rep
+    while x != one:
+        if len(pw) == len(inv):
             raise AssertionError("the powers of an element never return to the identity")
-        pw.append(by_rep[pw[-1]])
+        pw.append(x)
+        for images in times_rep:
+            x = images[x]
     return pw
 
 
@@ -468,8 +473,8 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassSet:
     Centralizer orders come from orbit-stabilizer and are cross-checked by a
     direct count of the positions where x*rep and rep*x agree, for classes of
     size <= CENTRALIZER_CHECK_LIMIT, read off right multiplication by rep and
-    one inverse map of the group.  The power map walks x -> x*rep from the
-    identity.
+    one inverse map of the group.  The power map of a larger class multiplies
+    along its rep's word, with no walk of the group.
     """
     if G._classes is not None:
         return G._classes

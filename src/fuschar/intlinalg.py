@@ -9,9 +9,9 @@ shortcuts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 
 def spec_int(value, what: str) -> int:
@@ -44,8 +44,7 @@ def transpose(m: list[list[int]]) -> list[list[int]]:
     return [list(col) for col in zip(*m)] if m else []
 
 
-@dataclass(frozen=True)
-class HNFResult:
+class HNFResult(NamedTuple):
     hnf: list[list[int]]
     transform: list[list[int]]
     rank: int

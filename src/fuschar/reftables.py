@@ -6,8 +6,6 @@ discrepancies are first-class output, not exceptions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .chartable import regular_character
 from .constructions import (
     count_n_v_psi,
@@ -32,12 +30,14 @@ from .stable import indecomposables_bounded, stable_character_basis
 from .verify import verify_conjecture, verify_table_fusion
 
 
-@dataclass
 class MatchReport:
-    label: str
-    matches: list = field(default_factory=list)
-    discrepancies: list = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
+    __slots__ = ("label", "matches", "discrepancies", "notes")
+
+    def __init__(self, label: str) -> None:
+        self.label = label
+        self.matches = []
+        self.discrepancies = []
+        self.notes = {}
 
     @property
     def ok(self) -> bool:

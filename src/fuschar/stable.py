@@ -5,8 +5,8 @@ indecomposable stable characters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .chartable import CharacterTable, ClassFunction, inner_product, restrict_table
 from .fusion import FusionData
@@ -21,8 +21,7 @@ from .intlinalg import (
 )
 
 
-@dataclass
-class StableLattice:
+class StableLattice(NamedTuple):
     fusion: FusionData
     irr_s: CharacterTable
     basis: list[list[int]]  # rows = basis virtual characters in Irr(S) coordinates
@@ -106,8 +105,7 @@ def restriction_coordinates(irr_g: CharacterTable, S: FiniteGroup,
     return restricted, coords
 
 
-@dataclass
-class DecompositionData:
+class DecompositionData(NamedTuple):
     d_matrix: list[list[int]]  # rows Irr(G), columns the stable basis
     det_c: int
     outside_rows: list[int]  # Irr(G) rows whose restriction left the lattice

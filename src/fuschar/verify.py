@@ -6,8 +6,8 @@ certificates, and run whole-group corpus verifications.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 from .chartable import CharacterTable, dixon_character_table
 from .cyclotomic import Cyclotomic, cyclo_dot
@@ -22,19 +22,24 @@ from .stable import (
 )
 
 
-@dataclass
 class VerificationReport:
-    label: str
-    p: int
-    k: int
-    reps: list  # (repr string, element order, |C_S|)
-    lhs_det: int
-    lhs_p_part: int
-    rhs_product: int
-    verdict: str  # "verified" | "counterexample" | "error"
-    saturation_certified: bool
-    checks: dict = field(default_factory=dict)
-    seconds: float = 0.0
+    __slots__ = ("label", "p", "k", "reps", "lhs_det", "lhs_p_part", "rhs_product",
+                 "verdict", "saturation_certified", "checks", "seconds")
+
+    def __init__(self, label: str, p: int, k: int, reps: list, lhs_det: int, lhs_p_part: int,
+                 rhs_product: int, verdict: str, saturation_certified: bool,
+                 checks: dict | None = None, seconds: float = 0.0) -> None:
+        self.label = label
+        self.p = p
+        self.k = k
+        self.reps = reps  # (repr string, element order, |C_S|)
+        self.lhs_det = lhs_det
+        self.lhs_p_part = lhs_p_part
+        self.rhs_product = rhs_product
+        self.verdict = verdict  # "verified" | "counterexample" | "error"
+        self.saturation_certified = saturation_certified
+        self.checks = {} if checks is None else checks
+        self.seconds = seconds
 
     @property
     def ok(self) -> bool:
@@ -254,8 +259,7 @@ def _table_gram(tf: TableFusion) -> list[list[int]]:
 # -- induction certificates ----------------------------------------------------
 
 
-@dataclass
-class InductionCertificate:
+class InductionCertificate(NamedTuple):
     """Data transporting the identity from a verified subsystem to a coarser one.
 
     `b_n` is a basis of the stable lattice of `base` (rows in Irr(S)
@@ -273,15 +277,29 @@ class InductionCertificate:
     u: object
 
 
-@dataclass
 class CertificateReport:
-    label: str
-    hypotheses: dict
-    ok: bool
-    det_base: int = 0
-    det_target: int = 0
-    containment_index: int = 0
-    target_lattice: StableLattice | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("label", "hypotheses", "ok", "det_base", "det_target", "containment_index",
+                 "target_lattice")
+
+    def __init__(self, label: str, hypotheses: dict, ok: bool, det_base: int = 0,
+                 det_target: int = 0, containment_index: int = 0,
+                 target_lattice: StableLattice | None = None) -> None:
+        self.label = label
+        self.hypotheses = hypotheses
+        self.ok = ok
+        self.det_base = det_base
+        self.det_target = det_target
+        self.containment_index = containment_index
+        self.target_lattice = target_lattice
+
+    def _compared(self) -> tuple:  # all but target_lattice, a by-product: not in == or repr
+        return tuple(getattr(self, name) for name in self.__slots__[:-1])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CertificateReport) and self._compared() == other._compared()
+
+    def __repr__(self) -> str:
+        return f"CertificateReport{self._compared()!r}"
 
     def failures(self) -> list[str]:
         return [name for name, good in self.hypotheses.items() if not good]

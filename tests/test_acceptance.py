@@ -296,7 +296,7 @@ def test_criterion_9_property_suites():
         assert base_det == 2 ** 22  # integrality asserted inside gram_determinant
         for _ in range(50):
             u = _random_unimodular(rng, lattice.rank)
-            lattice.basis = mat_mul(u, lattice.basis)
+            lattice = lattice._replace(basis=mat_mul(u, lattice.basis))
             det, _ = gram_determinant(character_table_matrix(lattice, merged))
             assert det == base_det
         # (c) representative independence under shuffled choices

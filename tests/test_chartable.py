@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -45,7 +44,7 @@ def test_validate_table_rejects_a_norm_two_character():
             chi = ClassFunction(tuple(vals))
         chars.append(chi)
     with pytest.raises(AssertionError, match="not irreducible"):
-        _validate_table(replace(tab, chars=chars))
+        _validate_table(tab._replace(chars=chars))
 
 
 def _outcome(check, table):
@@ -62,7 +61,7 @@ def _with_entry(table, i, j, value):
     vals = list(chars[i].values)
     vals[j] = value
     chars[i] = ClassFunction(tuple(vals))
-    return replace(table, chars=chars)
+    return table._replace(chars=chars)
 
 
 def test_validate_table_agrees_with_the_inner_product_oracle():

@@ -189,6 +189,7 @@ C2_TABLE = {"p": 2, "group_order": 2, "labels": ["1", "a"], "class_sizes": [1, 1
       "basis_values": [], "merge_groups": []}, "at least one class"),
     (dict(C2_TABLE, centralizer_orders=[2, 6]), "centralizer order 6 is not a power of p = 2"),
     (dict(C2_TABLE, p=3), "group order 2 is not a power of p = 3"),
+    (dict(C2_TABLE, group_order=4, centralizer_orders=[4, 4]), "sum to the group order"),
 ])
 def test_table_fusion_rejects_bad_class_data(fields, message):
     from fuschar.specio import SpecError, fusion_from_spec

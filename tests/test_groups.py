@@ -9,6 +9,7 @@ from itertools import product
 
 import pytest
 
+import fuschar.groups
 from fuschar.chartable import dixon_character_table
 from fuschar.constructions import build_group
 from fuschar.groups import (
@@ -340,8 +341,9 @@ def test_fpmat_inverse_and_singular_matrices():
 
 def _powers_along_word(actions, h: int) -> list[int]:
     """Positions of elements[h] ** r for r below its order, each power formed
-    by left multiplication along h's word in the generators: the oracle for
-    the power map that conjugacy_classes reads off right(h)."""
+    by left multiplication along h's word in the generators, as conjugacy_classes
+    forms those of a class above CENTRALIZER_CHECK_LIMIT; the tests check it
+    against element products."""
     word = actions.word(h)
     out = [actions.bfs[0]]
     x = h
@@ -399,9 +401,8 @@ def test_class_data_of_the_overgroups_is_pinned():
         assert _classes_sha256(build_group(p, which)) == digest, (p, which)
 
 
-def test_class_power_map_agrees_with_element_powers():
-    for g in (enumerate_group([]), symmetric_group(4), gl2_3(), heisenberg_group(5),
-              standard_group("D16"), build_group(5, "N_gamma4star")):
+def _check_power_maps(groups):
+    for g in groups:
         cc = conjugacy_classes(g)
         assert len(cc.powers) == len(cc.classes)
         for c, powers in zip(cc.classes, cc.powers):
@@ -410,6 +411,41 @@ def test_class_power_map_agrees_with_element_powers():
             assert powers == tuple(cc.class_index_of(g, c.rep ** r) for r in range(c.rep_order))
             word_powers = _powers_along_word(g.actions, g.index[c.rep])
             assert powers == tuple(cc.class_of[x] for x in word_powers)
+
+
+def test_class_power_map_agrees_with_element_powers():
+    _check_power_maps((enumerate_group([]), symmetric_group(4), gl2_3(), heisenberg_group(5),
+                       standard_group("D16"), build_group(5, "N_gamma4star")))
+
+
+def test_class_power_map_of_unchecked_classes(monkeypatch):
+    # no class gets the direct centralizer count, so no power map reads right(rep)
+    monkeypatch.setattr(fuschar.groups, "CENTRALIZER_CHECK_LIMIT", 0)
+    _check_power_maps((enumerate_group([]), symmetric_group(4), gl2_3(), heisenberg_group(5),
+                       standard_group("D16"), alternating_group(8)))
+
+
+def test_only_centralizer_checks_walk_the_whole_group(monkeypatch):
+    walks = [0]
+    along_tree = PositionActions.along_tree
+
+    def counted(self, start, maps):
+        walks[0] += 1
+        return along_tree(self, start, maps)
+
+    monkeypatch.setattr(PositionActions, "along_tree", counted)
+    # fresh groups, so their classes are computed here; A8 has 10 classes above
+    # the default limit, S5 two above 20
+    for g, limit in ((alternating_group(8), fuschar.groups.CENTRALIZER_CHECK_LIMIT),
+                     (symmetric_group(5), 20)):
+        monkeypatch.setattr(fuschar.groups, "CENTRALIZER_CHECK_LIMIT", limit)
+        walks[0] = 0
+        cc = conjugacy_classes(g)
+        checked = sum(c.size <= limit for c in cc.classes)
+        assert checked < len(cc.classes)
+        # fixed per group: right multiplication by each generator's inverse, and
+        # the inverse map; then one walk for each class counted directly
+        assert walks[0] == len(g.generators) + 1 + checked
 
 
 def _table_sha256(g) -> str:

@@ -71,7 +71,7 @@ def test_determinant_invariance_under_unimodular_change():
     base_det, _ = gram_determinant(x)
     for _ in range(10):
         u = random_unimodular(rng, lattice.rank)
-        lattice.basis = mat_mul(u, lattice.basis)
+        lattice = lattice._replace(basis=mat_mul(u, lattice.basis))
         x2 = character_table_matrix(lattice, merged)
         det2, _ = gram_determinant(x2)
         assert det2 == base_det

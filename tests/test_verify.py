@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -246,8 +245,7 @@ def test_basis_change_invariance_small():
     # row operation: add row 1 to row 0 (unimodular)
     new_basis = [list(r) for r in lattice.basis]
     new_basis[0] = [x + y for x, y in zip(new_basis[0], new_basis[1])]
-    lattice2 = stable_character_basis(tab, merged)
-    lattice2.basis = new_basis
+    lattice2 = stable_character_basis(tab, merged)._replace(basis=new_basis)
     x2 = character_table_matrix(lattice2, merged)
     det2, _ = gram_determinant(x2)
     assert det2 == base_det
@@ -432,7 +430,7 @@ def test_dx_identity_sees_one_corrupted_value_on_a_shared_row():
             vals = list(chars[target].values)
             vals[gcls] += 1
             chars[target] = ClassFunction(tuple(vals))
-            bad = replace(irr_g, chars=chars)
+            bad = irr_g._replace(chars=chars)
             assert _check_dx_identity(dec, lattice, bad, g_cols) is False
             assert dx_identity_by_values(dec, lattice, bad, g_cols) is False
 
