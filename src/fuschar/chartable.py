@@ -5,6 +5,12 @@ Class-multiplication coefficients are split into common eigenspaces over a
 prime field F_l with l = 1 (mod exponent) and l > 2*sqrt(|G|); central
 characters are then lifted to exact cyclotomic values by discrete Fourier
 summation over power maps.
+
+The common eigenvectors are the central-character vectors v (v[identity] = 1),
+and class matrix M_i acts on v as v[i] (Schneider, J. Symb. Comput. 9, 1990).
+So M_i is a scalar on a span of such vectors exactly when column i of its
+basis is proportional to column 0; M_i is built only when that fails for some
+space, and refines only those spaces.
 """
 
 from __future__ import annotations
@@ -139,11 +145,13 @@ def _poly_roots_mod(poly: list[int], l: int) -> list[int]:
 _DIXON_PRIME_BOUND = 10 ** 8
 
 
-def _find_dixon_prime(exponent: int, group_order: int) -> int:
+def dixon_field(exponent: int, group_order: int) -> tuple[int, int]:
+    """The least prime l = 1 (mod exponent) with l > 2 sqrt(group_order), and
+    an element of F_l of exact order `exponent`."""
     l = exponent + 1
     while l < _DIXON_PRIME_BOUND:
         if l * l > 4 * group_order and is_prime(l):
-            return l
+            return l, pow(primitive_root(l), (l - 1) // exponent, l)
         l += exponent
     raise ArithmeticError(
         f"no usable prime = 1 (mod {exponent}) below {_DIXON_PRIME_BOUND}")
@@ -212,29 +220,45 @@ def _class_matrix(G: FiniteGroup, classes: ConjugacyClassSet, i: int, l: int) ->
     return [[v % l for v in row] for row in mat]
 
 
-def _dixon_characters(G: FiniteGroup, classes: ConjugacyClassSet,
-                      exponent: int) -> list[ClassFunction]:
-    k = len(classes.classes)
-    l = _find_dixon_prime(exponent, G.order)
-    omega = pow(primitive_root(l), (l - 1) // exponent, l)  # exact order `exponent`
-    sizes = [c.size for c in classes.classes]
+def _separates(w: list[list[int]], i: int, l: int) -> bool:
+    """Whether class matrix i has more than one eigenvalue on span(w): column
+    i of w is not proportional to column 0 (the module docstring)."""
+    row = next((r for r in w if r[0]), None)
+    if row is None:
+        raise AssertionError("no basis row has a nonzero identity entry")
+    lam = row[i] * pow(row[0], -1, l) % l
+    return any((r[i] - lam * r[0]) % l for r in w)
 
+
+def _eigenspaces(G: FiniteGroup, classes: ConjugacyClassSet, l: int) -> list[list[list[int]]]:
+    """The one-dimensional common eigenspaces of the class matrices over F_l."""
+    k = len(classes.classes)
+    sizes = [c.size for c in classes.classes]
     spaces: list[list[list[int]]] = [[[1 if i == j else 0 for j in range(k)]
                                       for i in range(k)]]
-    by_size = sorted(range(1, k), key=lambda i: (sizes[i], i))
-    for i in by_size:
-        if all(len(w) == 1 for w in spaces):
-            break
+    for i in sorted(range(1, k), key=lambda i: (sizes[i], i)):
+        split = [len(w) > 1 and _separates(w, i, l) for w in spaces]
+        if not any(split):
+            continue
         mat = _class_matrix(G, classes, i, l)
         nxt = []
-        for w in spaces:
-            if len(w) == 1:
-                nxt.append(w)
-                continue
-            nxt.extend(_refine_space(w, mat, l))
+        for w, sep in zip(spaces, split):
+            parts = _refine_space(w, mat, l) if sep else [w]
+            if sep and len(parts) < 2:
+                raise AssertionError("a class matrix separated a space but did not split it")
+            nxt.extend(parts)
         spaces = nxt
     if not all(len(w) == 1 for w in spaces):
         raise AssertionError("eigenspace splitting failed after all class matrices")
+    return spaces
+
+
+def _dixon_characters(G: FiniteGroup, classes: ConjugacyClassSet,
+                      exponent: int) -> list[ClassFunction]:
+    k = len(classes.classes)
+    l, omega = dixon_field(exponent, G.order)
+    sizes = [c.size for c in classes.classes]
+    spaces = _eigenspaces(G, classes, l)
 
     inv_class = [pc[-1] for pc in classes.powers]
     inv_sizes = [pow(h, -1, l) for h in sizes]

@@ -6,9 +6,11 @@ indecomposable stable characters.
 from __future__ import annotations
 
 from itertools import product
+from math import lcm
+from operator import mul
 from typing import NamedTuple
 
-from .chartable import CharacterTable, ClassFunction, inner_product, restrict_table
+from .chartable import CharacterTable, ClassFunction, dixon_field, restrict_table
 from .fusion import FusionData
 from .groups import FiniteGroup
 from .intlinalg import (
@@ -73,13 +75,35 @@ def stable_character_basis(irr_s: CharacterTable, fusion: FusionData) -> StableL
     return StableLattice(fusion, irr_s, basis, len(basis))
 
 
+def _decompose(chis, irr_s: CharacterTable, e: int, order: int) -> list[list[int]]:
+    """Irr(S)-multiplicities of the characters `chis` (values in Z[zeta_e],
+    multiplicities at most sqrt(order)) as inner products in F_l, l the Dixon
+    prime for (e, order), so each residue is the multiplicity.  Each vector
+    must then recombine Irr(S) to its character exactly, or the call raises."""
+    l, omega = dixon_field(e, order)
+    powers = [pow(omega, j, l) for j in range(e)]
+
+    def residue(x, sign: int) -> int:  # x, or conj(x) for sign -1, in F_l
+        step = sign * (e // x.order)
+        return sum(c * powers[i * step % e] for i, c in x.terms()) % l
+
+    inv_order = pow(irr_s.group.order, -1, l)
+    conj_rows = [[c.size * inv_order * residue(x, -1) % l
+                  for c, x in zip(irr_s.classes.classes, psi.values)] for psi in irr_s.chars]
+    out = []
+    for chi in chis:
+        values = [residue(x, 1) for x in chi.values]
+        coords = [sum(map(mul, values, row)) % l for row in conj_rows]
+        if irr_s.combination(coords).values != chi.values:
+            raise AssertionError("Irr(S)-multiplicities do not recombine to the character")
+        out.append(coords)
+    return out
+
+
 def irr_coordinates(chi: ClassFunction, irr_s: CharacterTable) -> list[int]:
-    """Multiplicities of chi over Irr(S) (exact inner products)."""
-    coords = []
-    for psi in irr_s.chars:
-        val = inner_product(chi, psi, irr_s.classes, irr_s.group.order)
-        coords.append(val.rational_value())
-    return coords
+    """Multiplicities of the character chi over Irr(S) (each at most chi(1))."""
+    e = lcm(irr_s.conductor, *(x.order for x in chi.values))
+    return _decompose([chi], irr_s, e, chi.degree_int() ** 2)[0]
 
 
 def restriction_coordinates(irr_g: CharacterTable, S: FiniteGroup,
@@ -88,21 +112,20 @@ def restriction_coordinates(irr_g: CharacterTable, S: FiniteGroup,
 
     exp(S) divides exp(G), so every value embeds in Z[zeta_conductor of G]
     and its coefficient vector there is a key.  A restriction equal to an
-    irreducible of S (always the case for abelian groups) is read off; each
-    other distinct restriction is decomposed by inner products once.
+    irreducible of S (always the case for abelian groups) is read off; the
+    other distinct restrictions are decomposed together modulo the Dixon
+    prime of G, which exceeds every multiplicity (at most sqrt|G|).
     """
     e = irr_g.conductor
     restricted, _ = restrict_table(irr_g, S)
     known = {tuple(v.embedded(e).coeffs for v in psi.values):
              [1 if i == j else 0 for i in range(irr_s.k)]
              for j, psi in enumerate(irr_s.chars)}
-    coords = []
-    for chi in restricted:
-        key = tuple(v.embedded(e).coeffs for v in chi.values)
-        if key not in known:
-            known[key] = irr_coordinates(chi, irr_s)
-        coords.append(known[key])
-    return restricted, coords
+    keys = [tuple(v.embedded(e).coeffs for v in chi.values) for chi in restricted]
+    todo = {key: chi for key, chi in zip(keys, restricted) if key not in known}
+    if todo:
+        known.update(zip(todo, _decompose(todo.values(), irr_s, e, irr_g.group.order)))
+    return restricted, [known[key] for key in keys]
 
 
 class DecompositionData(NamedTuple):

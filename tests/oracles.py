@@ -8,6 +8,8 @@ from math import gcd
 
 from fuschar.chartable import (
     ClassFunction,
+    _class_matrix,
+    _refine_space,
     dixon_character_table,
     induce_class_function,
     inner_product,
@@ -208,3 +210,31 @@ def embedded_unmemoised(value, order):
     for i, c in value.terms():
         vec[i * step] = c
     return Cyclotomic(order, vec)
+
+
+def eigenspaces_by_every_matrix(G, classes, l):
+    """`chartable._eigenspaces` without the column criterion: every class
+    matrix, in order of class size, refines every space of dimension above 1
+    until all have dimension 1.  The oracle for building only the class
+    matrices that separate a space."""
+    k = len(classes.classes)
+    sizes = [c.size for c in classes.classes]
+    spaces = [[[1 if i == j else 0 for j in range(k)] for i in range(k)]]
+    for i in sorted(range(1, k), key=lambda i: (sizes[i], i)):
+        if all(len(w) == 1 for w in spaces):
+            break
+        mat = _class_matrix(G, classes, i, l)
+        nxt = []
+        for w in spaces:
+            nxt.extend(_refine_space(w, mat, l) if len(w) > 1 else [w])
+        spaces = nxt
+    if not all(len(w) == 1 for w in spaces):
+        raise AssertionError("eigenspace splitting failed after all class matrices")
+    return spaces
+
+
+def irr_coordinates_by_inner_products(chi, irr_s):
+    """Multiplicities of chi over Irr(S) as exact inner products <chi, psi>:
+    the oracle for the decomposition modulo the Dixon prime."""
+    return [inner_product(chi, psi, irr_s.classes, irr_s.group.order).rational_value()
+            for psi in irr_s.chars]

@@ -8,6 +8,7 @@ from fuschar.chartable import (
     _class_matrix,
     _validate_table,
     _nullspace_mod,
+    _separates,
     _solve_coords,
     dixon_character_table,
     induce_class_function,
@@ -29,7 +30,7 @@ from fuschar.groups import (
 )
 from fuschar.verify import builtin_corpus
 
-from oracles import validate_table_by_inner_products
+from oracles import eigenspaces_by_every_matrix, validate_table_by_inner_products
 
 
 def test_validate_table_rejects_a_norm_two_character():
@@ -341,3 +342,64 @@ def test_class_matrix_counts_element_products():
                 for x in ci.member_indices:
                     expected[cc.class_index_of(g, g.elements[x].inverse() * ct.rep)][t] += 1
             assert _class_matrix(g, cc, i, 10007) == expected
+
+
+def _corpus_groups():
+    return [standard_group(name) for name in dict.fromkeys(n for n, _ in builtin_corpus())]
+
+
+def test_column_criterion_gives_the_tables_of_every_class_matrix(monkeypatch):
+    import fuschar.chartable
+
+    groups = _corpus_groups() + [build_group(5, w) for w in ("S", "N_b", "N_gamma4star")]
+    groups += [standard_group("ES5"), standard_group("ES7")]
+    for g in groups:
+        fast = fuschar.chartable._dixon_table(g)
+        with monkeypatch.context() as m:
+            m.setattr(fuschar.chartable, "_eigenspaces", eigenspaces_by_every_matrix)
+            slow = fuschar.chartable._dixon_table(g)
+        assert fast.chars == slow.chars, g.order
+
+
+def test_dixon_schneider_builds_only_separating_class_matrices(monkeypatch):
+    """Work-count guard, no timings: S at p = 5 and the corpus groups build
+    at most 4 and 117 class matrices, and every refinement splits its space."""
+    import fuschar.chartable
+
+    built = [0]
+    class_matrix, refine_space = fuschar.chartable._class_matrix, fuschar.chartable._refine_space
+
+    def counted_matrix(*args):
+        built[0] += 1
+        return class_matrix(*args)
+
+    def checked_refine(w, mat, l):
+        parts = refine_space(w, mat, l)
+        assert len(parts) >= 2
+        return parts
+
+    monkeypatch.setattr(fuschar.chartable, "_class_matrix", counted_matrix)
+    monkeypatch.setattr(fuschar.chartable, "_refine_space", checked_refine)
+    fuschar.chartable._dixon_table(build_group(5, "S"))
+    assert built[0] <= 4  # 29 with every class matrix
+    built[0] = 0
+    for g in _corpus_groups():
+        fuschar.chartable._dixon_table(g)
+    assert built[0] <= 117  # 300 with every class matrix
+
+
+def test_a_separated_space_that_does_not_split_raises(monkeypatch):
+    import fuschar.chartable
+
+    monkeypatch.setattr(fuschar.chartable, "_refine_space", lambda w, mat, l: [w])
+    g = symmetric_group(4)
+    with pytest.raises(AssertionError, match="separated a space but did not split it"):
+        dixon_character_table(g)
+    assert g._table is None
+
+
+def test_a_space_with_a_zero_identity_column_is_rejected():
+    assert _separates([[1, 2, 3], [0, 1, 0]], 1, 7)
+    assert not _separates([[1, 2, 3], [3, 6, 1]], 1, 7)
+    with pytest.raises(AssertionError, match="no basis row has a nonzero identity entry"):
+        _separates([[0, 1, 0], [0, 0, 1]], 1, 7)

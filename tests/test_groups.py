@@ -465,6 +465,10 @@ def test_character_tables_are_pinned():
         "C64": "63adf2a5967fb3433db0b2372e3d872dcf7a66fe506265a0909d7783574f5897",
         (3, "S"): "7191e582cdeb000c10686cdcddd0ab2cdf4d3c7b338414bb734e374e0a0c2ce4",
         (5, "S"): "29869f2b89b37d85ecec23948bc30bb2776954baca541c836d8f2251e0591875",
+        "ES5": "e7c4bf86e70639cb4e0eaca9a00e71cce059b6113991ddd659123a841db2ac78",
+        "ES7": "4288da431f12e884ca1bafb7facf5bf1825204b6c575873066971d963c7ea5c7",
+        (5, "N_b"): "38a2cad2bbc22dc8fc8e3aaaddee85d191613c3aafac9c7299d5199b1de7f5a8",
+        (5, "N_gamma4star"): "0bfd83bccb96633c42991f06d1c5bf37dd561e93b0577efd325bc59459433df9",
     }
     for key, digest in pinned.items():
         g = build_group(*key) if isinstance(key, tuple) else standard_group(key)

@@ -5,7 +5,8 @@ import pytest
 
 import fuschar.intlinalg
 import fuschar.stable
-from fuschar.chartable import dixon_character_table, restrict_table
+from fuschar.chartable import ClassFunction, dixon_character_table, restrict_table
+from fuschar.cyclotomic import Cyclotomic
 from fuschar.fusion import apply_merges, fusion_from_group, fusion_of_self
 from fuschar.exotic import overgroup_context
 from fuschar.groups import (
@@ -24,10 +25,12 @@ from fuschar.stable import (
     genuine_stable_characters,
     indecomposables_bounded,
     irr_coordinates,
+    restriction_coordinates,
     stable_character_basis,
 )
+from fuschar.verify import builtin_corpus
 
-from oracles import full_merge, kernel_rows_by_xgcd
+from oracles import full_merge, irr_coordinates_by_inner_products, kernel_rows_by_xgcd
 
 
 def test_self_fusion_gives_identity_basis():
@@ -224,3 +227,54 @@ def test_stable_lattice_hnf_keeps_entries_small(monkeypatch):
     assert 0 < widest[0] <= 64
     monkeypatch.setattr(fuschar.stable, "kernel_rows", kernel_rows_by_xgcd)
     assert stable_character_basis(ctx.irr_s, ctx.base).basis == basis
+
+
+def _decomposed_against_oracle(irr_g, s, irr_s):
+    """Check restriction_coordinates on each distinct restriction that is not
+    an irreducible of S (those are decomposed, the rest read off); returns
+    how many were checked."""
+    e = irr_g.conductor
+    irreducible = {tuple(v.embedded(e).coeffs for v in psi.values) for psi in irr_s.chars}
+    restricted, coords = restriction_coordinates(irr_g, s, irr_s)
+    checked = {}
+    for chi, row in zip(restricted, coords):
+        key = tuple(v.embedded(e).coeffs for v in chi.values)
+        if key not in irreducible and key not in checked:
+            checked[key] = row
+            assert row == irr_coordinates_by_inner_products(chi, irr_s)
+            assert irr_coordinates(chi, irr_s) == row
+    return len(checked)
+
+
+def test_restriction_multiplicities_agree_with_inner_products():
+    by_name: dict = {}
+    for name, p in builtin_corpus():
+        by_name.setdefault(name, []).append(p)
+    checked = 0
+    for name, primes in by_name.items():
+        g = standard_group(name)
+        for p in primes:
+            s = sylow_subgroup(g, p)
+            checked += _decomposed_against_oracle(dixon_character_table(g), s,
+                                                  dixon_character_table(s))
+    for which in ("N_gamma", "N_b", "N_gamma4star"):
+        ctx = overgroup_context(5, which)
+        checked += _decomposed_against_oracle(dixon_character_table(ctx.N), ctx.S, ctx.irr_s)
+    assert checked == 248 + 9 + 13 + 14  # the corpus, then N_gamma, N_b, N_gamma4star
+
+
+def test_a_tampered_restriction_raises_instead_of_a_wrong_multiplicity():
+    g = standard_group("S3")
+    s = sylow_subgroup(g, 3)
+    irr_g, irr_s = dixon_character_table(g), dixon_character_table(s)
+    deg2 = next(i for i, chi in enumerate(irr_g.chars) if chi.degree_int() == 2)
+    order3 = next(t for t, c in enumerate(irr_g.classes.classes) if c.rep_order == 3)
+    values = list(irr_g.chars[deg2].values)
+    values[order3] = Cyclotomic.zero()  # was -1
+    chars = list(irr_g.chars)
+    chars[deg2] = ClassFunction(tuple(values))
+    with pytest.raises(AssertionError, match="do not recombine"):
+        restriction_coordinates(irr_g._replace(chars=tuple(chars)), s, irr_s)
+    restricted, _ = restrict_table(irr_g._replace(chars=tuple(chars)), s)
+    with pytest.raises(AssertionError, match="do not recombine"):
+        irr_coordinates(restricted[deg2], irr_s)
