@@ -69,7 +69,6 @@ from .constructions import (
 from .exotic import (
     build_exotic_fusion,
     chain_certificates,
-    exotic_fusion_spec,
     overgroup_context,
     table_3492,
 )

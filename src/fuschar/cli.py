@@ -14,18 +14,23 @@ import sys
 import traceback
 
 from .chartable import dixon_character_table
+from .fusion import TableFusion
 from .groups import enumerate_group
+from .reftables import ITEMS, CertificateChain, reproduce
 from .specio import SpecError, load_fusion, load_group, resolve_word, table_to_json
-from .verify import run_group_corpus, verify_conjecture, verify_group_case
+from .verify import (
+    VerificationReport,
+    run_group_corpus,
+    verify_conjecture,
+    verify_group_case,
+    verify_table_fusion,
+)
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_ERROR = 2
 # any other verdict ("error") exits EXIT_ERROR
 VERDICT_EXIT = {"verified": EXIT_OK, "counterexample": EXIT_COUNTEREXAMPLE}
-
-PAPER_ITEMS = ["table1", "table2", "table3", "table4", "table5", "table6",
-               "lemma42", "lemma56", "lemma58", "example27"]
 
 
 def _report_exit(report, fmt: str) -> int:
@@ -54,9 +59,6 @@ def _cmd_verify_group(args) -> int:
 
 
 def _cmd_verify_fusion(args) -> int:
-    from .fusion import TableFusion
-    from .verify import verify_table_fusion
-
     fusion = load_fusion(args.fusion)
     if isinstance(fusion, TableFusion):
         report = verify_table_fusion(fusion, label=args.fusion)
@@ -84,63 +86,39 @@ def _cmd_char_table(args) -> int:
     return EXIT_OK
 
 
-def _paper_exotic(name: str, p: int | None, fmt: str) -> int:
-    from . import exotic
-    from .verify import check_certificate_chain, verify_table_fusion
-
-    spec = exotic.exotic_fusion_spec(name, p)
-    p = spec["p"]
-    if spec["mode"] == "table":
-        return _report_exit(verify_table_fusion(exotic.table_3492()), fmt)
-    if spec["mode"] == "chain":
-        ctx = exotic.overgroup_context(p, spec["base"])
-        certs = exotic.chain_certificates(spec["family"], p)
-        reports = check_certificate_chain(certs, ctx.irr_s)
-        if fmt == "json":
-            print(json.dumps({"input": f"{name}@p={p}",
-                              "certificates": [rep.to_json() for rep in reports]},
+def _cmd_paper(args) -> int:
+    result = reproduce(args.item, args.p)
+    if isinstance(result, CertificateChain):  # before the pair: both are tuples
+        if args.format == "json":
+            print(json.dumps({"input": result.label,
+                              "certificates": [rep.to_json() for rep in result.reports]},
                              indent=2, sort_keys=True))
         else:
-            for rep in reports:
+            for rep in result.reports:
                 status = "passed" if rep.ok else f"FAILED {rep.failures()}"
                 print(f"{rep.label}: certificate {status}")
-        return EXIT_OK if all(rep.ok for rep in reports) else EXIT_COUNTEREXAMPLE
-    merged, ctx = exotic.build_exotic_fusion(name, p)
-    return _report_exit(verify_conjecture(merged, ctx.irr_s, f"{name}@p={p}"), fmt)
-
-
-def _cmd_paper(args) -> int:
-    from .reftables import reproduce
-
-    item = args.item
-    if item.startswith("exotic:"):
-        return _paper_exotic(item.split(":", 1)[1], args.p, args.format)
-    if item not in PAPER_ITEMS:
-        raise SpecError(f"unknown item {item!r}; choose from "
-                        f"{PAPER_ITEMS} or exotic:<name>")
-    if item == "example27":
-        from .reftables import check_fixed_prime, reproduce_example27
-
-        check_fixed_prime(item, args.p)
-        report, verdict = reproduce_example27()
+        return EXIT_OK if all(rep.ok for rep in result.reports) else EXIT_COUNTEREXAMPLE
+    if isinstance(result, tuple):  # example27: its match report and its verdict
+        report, verdict = result
         if not report.ok:
             print(f"{report.label}: reproduction BROKEN: {report.discrepancies}",
                   file=sys.stderr)
             return EXIT_ERROR
         _print_report(verdict, args.format)
         return EXIT_COUNTEREXAMPLE
-    report = reproduce(item, args.p)
+    if isinstance(result, VerificationReport):
+        return _report_exit(result, args.format)
     if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+        print(json.dumps(result.to_json(), indent=2, sort_keys=True))
     else:
-        status = "all matched" if report.ok else "MISMATCH"
-        print(f"{report.label}: {status} "
-              f"({len(report.matches)} matches, {len(report.discrepancies)} discrepancies)")
-        for d in report.discrepancies:
+        status = "all matched" if result.ok else "MISMATCH"
+        print(f"{result.label}: {status} "
+              f"({len(result.matches)} matches, {len(result.discrepancies)} discrepancies)")
+        for d in result.discrepancies:
             print(f"  - {d}")
-        for key, val in report.notes.items():
+        for key, val in result.notes.items():
             print(f"  note {key}: {val}")
-    return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
+    return EXIT_OK if result.ok else EXIT_COUNTEREXAMPLE
 
 
 def _cmd_corpus(args) -> int:
@@ -199,8 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser("paper", help="run a bundled reproduction suite")
     pp.add_argument("--item", required=True,
-                    help=f"one of {PAPER_ITEMS} or exotic:<name> with name in "
-                         "G_prune, F1, Op_F1, F_3492, F547_chain:psu, F547_chain:g")
+                    help="one of these, with the prime it runs at without --p: " + ", ".join(
+                        f"{name} ({item.p}{' only' if item.fixed else ''})"
+                        for name, item in ITEMS.items()))
     pp.add_argument("--p", type=int, default=None)
     pp.set_defaults(func=_cmd_paper)
 

@@ -155,9 +155,6 @@ def build_group(p: int, which: str) -> FiniteGroup:
         gam = gamma_group(p, variant)
         gens = v_gens + [affine(m, (0, 0, 0)) for m in gam.generators]
         return enumerate_group(gens, designated=designated)
-    if which == "Y_H":
-        raise ValueError("the (C_p x C_p):GL_2(p) model is out of scope; "
-                         "element-level fusion via merges covers its effect")
     raise ValueError(f"unknown construction {which!r}")
 
 

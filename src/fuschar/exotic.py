@@ -13,7 +13,8 @@ from .constructions import build_group, is_translation, sylow_inside
 from .cyclotomic import Cyclotomic
 from .fusion import FusionData, TableFusion, apply_merges, fusion_from_group
 from .groups import FiniteGroup, conjugacy_classes
-from .stable import restriction_coordinates
+from .intlinalg import hnf, lattice_index, transpose
+from .stable import restriction_coordinates, stable_character_basis
 from .verify import InductionCertificate, _x_matrix
 
 
@@ -107,28 +108,6 @@ def base_construction_for(name: str, p: int) -> str:
             return "N_gamma4star"
         raise ValueError("p must be odd")
     raise ValueError(f"unknown system {name!r}")
-
-
-def exotic_fusion_spec(name: str, p: int | None = None) -> dict:
-    """Base construction plus merge words; p defaults to 5 for the chains, else 3."""
-    if p is None:
-        p = 5 if name.startswith("F547_chain") else 3
-    if name == "F_3492":
-        if p != 3:
-            raise ValueError("the order-162 table-mode instance is specific to p = 3")
-        return {"name": name, "p": p, "mode": "table",
-                "merges": [["g2", "g6"], ["g2", "g7"]]}
-    if name.startswith("F547_chain"):
-        if p != 5:
-            raise ValueError("the chain certificates are specific to p = 5")
-        family = name.split(":", 1)[1] if ":" in name else "psu"
-        if family not in CHAIN_LABELS:
-            raise ValueError(f"unknown chain family {family!r}")
-        return {"name": name, "p": p, "mode": "chain", "family": family,
-                "base": "N_gamma4star" if family == "psu" else "N_b"}
-    base = base_construction_for(name, p)
-    return {"name": name, "p": p, "mode": "group", "base": base,
-            "merges": [["z", "u"]]}
 
 
 def build_exotic_fusion(name: str, p: int) -> tuple[FusionData, OvergroupContext]:
@@ -277,9 +256,6 @@ def _basis_subset(ctx: OvergroupContext, rows: list[list[int]]) -> list[int]:
     The HNF pivots of the transposed rows are the greedy choice: each row
     independent of the rows before it.  The first `rank` of them are kept.
     """
-    from .intlinalg import hnf, lattice_index, transpose
-    from .stable import stable_character_basis
-
     lattice = stable_character_basis(ctx.irr_s, ctx.base)
     chosen = list(hnf(transpose(rows)).pivots[:lattice.rank])
     acc = [rows[i] for i in chosen]
@@ -292,6 +268,8 @@ def _basis_subset(ctx: OvergroupContext, rows: list[list[int]]) -> list[int]:
 
 
 CHAIN_LABELS = {"psu": [9, 6, 4, 2], "g": [3, 5, 7, 8, 10]}
+# the overgroup whose fusion each chain starts from
+CHAIN_BASES = {"psu": "N_gamma4star", "g": "N_b"}
 
 
 def chain_certificates(family: str, p: int = 5) -> list[InductionCertificate]:
@@ -300,7 +278,7 @@ def chain_certificates(family: str, p: int = 5) -> list[InductionCertificate]:
     family "psu": base V:Gamma*_(4); family "g": base S:<b> (first step is the
     printed basis of the pruned system).
     """
-    ctx = overgroup_context(p, exotic_fusion_spec(f"F547_chain:{family}", p)["base"])
+    ctx = overgroup_context(p, CHAIN_BASES[family])
     z = ctx.z_element()
     u_classes = ctx.u_class_indices
     labels = CHAIN_LABELS[family]
@@ -355,7 +333,7 @@ def _psu_first_certificate(ctx: OvergroupContext) -> InductionCertificate:
 
 def certificate_psu_59(p: int = 5) -> InductionCertificate:
     """Variant of the first chain step with eta the degree p-1 inflation."""
-    cert = _psu_first_certificate(overgroup_context(p, "N_gamma4star"))
+    cert = _psu_first_certificate(overgroup_context(p, CHAIN_BASES["psu"]))
     return cert._replace(label=cert.label + ":theta", eta=1)
 
 

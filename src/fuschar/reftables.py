@@ -2,11 +2,17 @@
 tables of the overgroups, orbit analyses, point counts, and the known
 non-saturated counterexample.  Each suite returns a structured match report;
 discrepancies are first-class output, not exceptions.
+
+`ITEMS` lists every `fuschar paper` item with the prime it runs at by default
+and whether that is its only prime; `reproduce` is the one way to run them.
 """
 
 from __future__ import annotations
 
-from .chartable import regular_character
+from typing import Callable, NamedTuple
+
+from . import exotic
+from .chartable import dixon_character_table, regular_character
 from .constructions import (
     count_n_v_psi,
     gamma_orbit_analysis,
@@ -14,6 +20,7 @@ from .constructions import (
 )
 from .cyclotomic import Cyclotomic, cyclo_dot
 from .exotic import (
+    TABLE_3492_IRR_MULTIPLICITIES,
     OvergroupContext,
     _combo,
     cubic_root_check,
@@ -23,11 +30,11 @@ from .exotic import (
     table_3492,
 )
 from .fusion import apply_merges, fusion_of_self
-from .groups import cyclic_group
+from .groups import conjugacy_classes, cyclic_group
 from .intlinalg import lattice_index
 from .specio import SpecError
 from .stable import indecomposables_bounded, stable_character_basis
-from .verify import verify_conjecture, verify_table_fusion
+from .verify import check_certificate_chain, verify_conjecture, verify_table_fusion
 
 
 class MatchReport:
@@ -241,8 +248,6 @@ def reproduce_table4(p: int) -> MatchReport:
 
 
 def _s_class(ctx, element) -> int:
-    from .groups import conjugacy_classes
-
     sc = conjugacy_classes(ctx.S)
     return sc.class_index_of(ctx.S, element)
 
@@ -342,7 +347,7 @@ def reproduce_table5() -> MatchReport:
     return report
 
 
-# -- dispatch -------------------------------------------------------------------
+# -- orbit lemmas, Table 3, Table 6 and Example 2.7 -----------------------------
 
 
 def reproduce_orbit_lemma(item: str, p: int) -> MatchReport:
@@ -402,11 +407,9 @@ def reproduce_table6() -> MatchReport:
     tf = table_3492()
     # column orthogonality of the realising group, via the Clifford
     # multiplicities of the index-2 extension
-    from .exotic import TABLE_3492_IRR_MULTIPLICITIES as mult
-
     for j in range(10):
         column = [row[j] for row in tf.basis_values]
-        acc = cyclo_dot(mult, column, column)
+        acc = cyclo_dot(TABLE_3492_IRR_MULTIPLICITIES, column, column)
         cn = 2 * tf.group_order // tf.class_sizes[j]
         report.check(f"column_norm_g{j+1}", acc == cn,
                      f"sum {acc!r}, |C_N| {cn}")
@@ -420,8 +423,6 @@ def reproduce_table6() -> MatchReport:
 
 def reproduce_example27() -> tuple[MatchReport, object]:
     """The non-saturated merge on the cyclic group of order 8."""
-    from .chartable import dixon_character_table
-
     report = MatchReport("example27")
     c8 = cyclic_group(8)
     a = c8.designated["a"]
@@ -444,35 +445,70 @@ def reproduce_example27() -> tuple[MatchReport, object]:
     return report, verdict
 
 
-# the items whose reference data exist at one prime only
-FIXED_PRIME = {"table5": 5, "table6": 3, "example27": 2}
+# -- the exotic systems on the p^4 family ----------------------------------------
 
 
-def check_fixed_prime(item: str, p: int | None) -> None:
-    """Reject a prime other than the one a p-specific item is stated at."""
-    want = FIXED_PRIME.get(item)
-    if want and p is not None and p != want:
-        raise SpecError(f"{item} is specific to p = {want}")
+class CertificateChain(NamedTuple):
+    """The checked steps of one certificate chain."""
+
+    label: str
+    reports: list
 
 
-def reproduce(item: str, p: int | None = None) -> MatchReport:
-    """Dispatch a named reproduction suite."""
-    check_fixed_prime(item, p)
-    if item == "table1":
-        return reproduce_table1(5 if p is None else p)
-    if item == "table2":
-        return reproduce_table2(3 if p is None else p)
-    if item == "table3":
-        return reproduce_table3(5 if p is None else p)
-    if item == "table4":
-        return reproduce_table4(3 if p is None else p)
-    if item == "table5":
-        return reproduce_table5()
-    if item == "table6":
-        return reproduce_table6()
-    if item in ("lemma42", "lemma56", "lemma58"):
-        default = {"lemma42": 5, "lemma56": 3, "lemma58": 5}[item]
-        return reproduce_orbit_lemma(item, default if p is None else p)
-    if item == "example27":
-        return reproduce_example27()[0]
-    raise ValueError(f"unknown reproduction item {item!r}")
+def _exotic_verdict(name: str, p: int):
+    merged, ctx = exotic.build_exotic_fusion(name, p)
+    return verify_conjecture(merged, ctx.irr_s, f"{name}@p={p}")
+
+
+def _chain(family: str, p: int) -> CertificateChain:
+    ctx = exotic.overgroup_context(p, exotic.CHAIN_BASES[family])
+    reports = check_certificate_chain(exotic.chain_certificates(family, p), ctx.irr_s)
+    return CertificateChain(f"F547_chain:{family}@p={p}", reports)
+
+
+# -- the `paper` items -----------------------------------------------------------
+
+
+class PaperItem(NamedTuple):
+    p: int  # the prime the item runs at when none is given
+    fixed: bool  # the item exists at that prime only
+    run: Callable[[int], object]
+
+
+# the suites look their functions up when called, so a replaced one is used
+ITEMS = {
+    "table1": PaperItem(5, False, lambda p: reproduce_table1(p)),
+    "table2": PaperItem(3, False, lambda p: reproduce_table2(p)),
+    "table3": PaperItem(5, False, lambda p: reproduce_table3(p)),
+    "table4": PaperItem(3, False, lambda p: reproduce_table4(p)),
+    "table5": PaperItem(5, True, lambda p: reproduce_table5()),
+    "table6": PaperItem(3, True, lambda p: reproduce_table6()),
+    "lemma42": PaperItem(5, False, lambda p: reproduce_orbit_lemma("lemma42", p)),
+    "lemma56": PaperItem(3, False, lambda p: reproduce_orbit_lemma("lemma56", p)),
+    "lemma58": PaperItem(5, False, lambda p: reproduce_orbit_lemma("lemma58", p)),
+    "example27": PaperItem(2, True, lambda p: reproduce_example27()),
+    "exotic:G_prune": PaperItem(3, False, lambda p: _exotic_verdict("G_prune", p)),
+    "exotic:F1": PaperItem(3, False, lambda p: _exotic_verdict("F1", p)),
+    "exotic:Op_F1": PaperItem(3, False, lambda p: _exotic_verdict("Op_F1", p)),
+    "exotic:F_3492": PaperItem(3, True, lambda p: verify_table_fusion(exotic.table_3492())),
+    "exotic:F547_chain:psu": PaperItem(5, True, lambda p: _chain("psu", p)),
+    "exotic:F547_chain:g": PaperItem(5, True, lambda p: _chain("g", p)),
+}
+
+
+def reproduce(item: str, p: int | None = None):
+    """Run one `paper` item at p, or at its own prime when p is None.
+
+    The result is a MatchReport, a VerificationReport, example27's
+    (MatchReport, VerificationReport) pair, or a CertificateChain.  An
+    unknown item, or another prime for a fixed-prime item, is refused
+    before any group is built.
+    """
+    entry = ITEMS.get(item)
+    if entry is None:
+        raise SpecError(f"unknown item {item!r}; choose from {', '.join(ITEMS)}")
+    if p is None:
+        p = entry.p
+    elif entry.fixed and p != entry.p:
+        raise SpecError(f"{item} is specific to p = {entry.p}")
+    return entry.run(p)

@@ -59,6 +59,14 @@ def _positive_size(spec: dict, key: str) -> int:
     return size
 
 
+def _array(spec: dict, key: str) -> list:
+    """An optional array field; a string is refused, not read letter by letter."""
+    value = spec.get(key, [])
+    if not isinstance(value, list):
+        raise SpecError(f"{key} must be an array, got {type(value).__name__}")
+    return value
+
+
 def _integer_entries(i: int, entries) -> None:
     if not all(isinstance(x, int) and not isinstance(x, bool) for x in entries):
         raise SpecError(f"generator {i} has a non-integer entry")
@@ -69,7 +77,7 @@ def group_from_spec(spec: dict) -> FiniteGroup:
     gens = []
     if kind == "permutation":
         degree = _positive_size(spec, "degree")
-        for i, images in enumerate(spec.get("generators", [])):
+        for i, images in enumerate(_array(spec, "generators")):
             if len(images) != degree:
                 raise SpecError(f"generator {i} has length {len(images)}, "
                                 f"expected {degree}")
@@ -85,7 +93,7 @@ def group_from_spec(spec: dict) -> FiniteGroup:
         p = spec_int(spec["char"], "char")
         if not is_prime(p):
             raise SpecError(f"matrix field characteristic char = {p} is not prime")
-        for i, rows in enumerate(spec.get("generators", [])):
+        for i, rows in enumerate(_array(spec, "generators")):
             if len(rows) != dim or any(len(r) != dim for r in rows):
                 raise SpecError(f"generator {i} is not {dim}x{dim}")
             _integer_entries(i, [x for row in rows for x in row])
@@ -116,15 +124,15 @@ def fusion_from_spec(spec: dict):
     group = group_from_spec(spec["group"])
     p = spec_int(spec["p"], "p")
     if "S" in spec:
-        s_gens = [resolve_word(w, group) for w in spec["S"]]
+        s_gens = [resolve_word(w, group) for w in _array(spec, "S")]
         s = enumerate_group(s_gens, max_order=group.order)
         s.designated.update(group.designated)
     else:
         s = sylow_subgroup(group, p)
     base = fusion_from_group(group, s, p)
     merges = []
-    for pair in spec.get("merges", []):
-        if len(pair) != 2:
+    for pair in _array(spec, "merges"):
+        if not isinstance(pair, list) or len(pair) != 2:
             raise SpecError(f"merge entries need two words, got {pair!r}")
         a = resolve_word(pair[0], group)
         b = resolve_word(pair[1], group)

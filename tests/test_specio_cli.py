@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from fuschar.cli import build_parser, main
+from fuschar.reftables import ITEMS
 from fuschar.specio import (
     SpecError,
     fusion_from_spec,
@@ -249,6 +251,17 @@ def test_readme_names_only_options_the_parser_has():
     assert named and named <= known, sorted(named - known)
 
 
+def test_readme_lists_the_paper_items_of_the_table():
+    section = _readme_command_line_section()
+    listed = {m[1]: (int(m[2]), bool(m[3]))
+              for m in re.finditer(r"^- `([^`]+)`: p = (\d+)( only)?$", section, re.M)}
+    assert listed == {name: (item.p, item.fixed) for name, item in ITEMS.items()}
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w:])(?:(?:table|lemma|example)\d+(?!\w)"
+                           r"|exotic:\w+(?::\w+)?)", text))
+    assert named == set(ITEMS), sorted(named ^ set(ITEMS))
+
+
 def test_cli_directory_corpus_isolates_bad_files(tmp_path, capsys):
     (tmp_path / "c6.json").write_text(json.dumps(
         {"kind": "permutation", "degree": 6,
@@ -292,6 +305,20 @@ def test_cli_spec_boundary_errors_exit_2(tmp_path, capsys):
     assert main(["verify-group", "-g", str(not_object), "-p", "2"]) == 2
     assert main(["corpus", "--dir", str(tmp_path / "no_such_dir")]) == 2
     capsys.readouterr()
+    # a string where an array belongs is refused by name, not read letter by letter
+    not_arrays = [({"group": {**C8_SPEC, "generators": "10"}, "p": 2}, "generators"),
+                  ({"group": C8_SPEC, "p": 2, "S": "g0"}, "S"),
+                  ({"group": C8_SPEC, "p": 2, "merges": "g0"}, "merges")]
+    for i, (spec, field) in enumerate(not_arrays):
+        path = tmp_path / f"not_array{i}.json"
+        path.write_text(json.dumps(spec))
+        assert main(["verify-fusion", "-f", str(path)]) == 2, spec
+        err = capsys.readouterr().err
+        assert err == f"error: {field} must be an array, got str\n", spec
+    one_word = tmp_path / "one_word_merge.json"
+    one_word.write_text(json.dumps({"group": C8_SPEC, "p": 2, "merges": ["g0"]}))
+    assert main(["verify-fusion", "-f", str(one_word)]) == 2
+    assert capsys.readouterr().err == "error: merge entries need two words, got 'g0'\n"
     for char in (0, 4):
         bad_char = tmp_path / f"char{char}.json"
         bad_char.write_text(json.dumps({"kind": "matrix", "dim": 2, "char": char,
@@ -392,6 +419,62 @@ def test_paper_exotic_checks_p_before_building_groups(monkeypatch, capsys):
         assert main(["paper", "--item", item]) == 2
         assert "internal error: LookupError: stop" in capsys.readouterr().err
     assert built == [(5, "N_b"), ("F1", 3)]
+
+
+@pytest.mark.parametrize("item", ["exotic:bogus", "exotic:F547_chain:x", "exotic:F547_chain"])
+def test_paper_unknown_items_exit_2_before_building_groups(item, monkeypatch, capsys):
+    import fuschar.exotic
+
+    built = []
+    for name in ("table_3492", "overgroup_context", "chain_certificates", "build_exotic_fusion"):
+        monkeypatch.setattr(fuschar.exotic, name, lambda *args: built.append(args))
+    assert main(["paper", "--item", item]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unknown item {item!r}" in err
+    assert built == []
+
+
+def _without_seconds(data):
+    if isinstance(data, dict):
+        return {key: _without_seconds(val) for key, val in data.items() if key != "seconds"}
+    if isinstance(data, list):
+        return [_without_seconds(val) for val in data]
+    return data
+
+
+# exit code and sha256 of the `--format json` output, without `seconds`, of
+# each item at its default prime
+PAPER_OUTPUT = {
+    "table1": (0, "6d3a03bbd7c8965b9eb80b9494501db44a8b5ab050ced4e204e5102f4a81338b"),
+    "table2": (0, "373634871ab17a2ee40c3b046cec0c11700f882b74bd4d0ba118460053e59171"),
+    "table3": (0, "a83f7beb717b78e34e072195ef86a248973634d971b88f85156fb79e12c89548"),
+    "table4": (0, "4ac0b8d7df6a90434f3b15569c1f533a357ace464708082026f311fba3b39297"),
+    "table5": (0, "98631306d678f5688e06c999d46db2fdb1587e70bd2dc1aad3d0abf8e37feabb"),
+    "table6": (0, "762ee389fbb676d1b587f5f5416a5de505d46cb0c7f8cbb14b1664730205fc14"),
+    "lemma42": (0, "83310120065a238205391c0a67c234b6706b3cfe93108c2cb16fdae1ad2216ed"),
+    "lemma56": (0, "c447fc3a985d463a0165512e8b4b60a9f82b524014dd490bb15b925dde916e16"),
+    "lemma58": (0, "e2de192029d339ff0cdaf2a928b87ab91032cb93f8ac2801120b4480056d1ed0"),
+    "example27": (1, "dd13a79be9a5fbb1fdb2f86369aff32315b52dcaa6d1becc882e52acb0680290"),
+    "exotic:G_prune": (0, "cd1fa2949b30489c5c2f752c5d68b94ec056b30786937969663b5944ce43465e"),
+    "exotic:F1": (0, "1010459bd7d004f0f6b092bbdd5958c959cd0df110d7c9f78e903549ae998be5"),
+    "exotic:Op_F1": (0, "aaabca2ee010bdeb795bb7ee057ba7200dc55c370add2b21c3d98429a01242a7"),
+    "exotic:F_3492": (0, "a6b84498c2b17dd1b752d8073a803cdca7299bf17a33ccbe07f8c91476ee98f1"),
+    "exotic:F547_chain:psu": (0, "a7de12e20de2c7ab96cabe33f982454b9ed3efb61479aca294bd63c3ac29396b"),
+    "exotic:F547_chain:g": (0, "455a34c4c6c528c371e5bc2e3418f535beea335d3eaa24bf55acb2885c4da777"),
+}
+
+
+def test_paper_output_is_pinned_for_every_item():
+    assert list(PAPER_OUTPUT) == list(ITEMS)
+
+
+@pytest.mark.parametrize("item", list(PAPER_OUTPUT))
+def test_paper_item_output_is_unchanged(item, capsys):
+    code, digest = PAPER_OUTPUT[item]
+    assert main(["--format", "json", "paper", "--item", item]) == code
+    data = _without_seconds(json.loads(capsys.readouterr().out))
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("exc", [LookupError("no matching restriction"), KeyError("rho")])

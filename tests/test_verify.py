@@ -5,19 +5,21 @@ import pytest
 from fuschar.chartable import ClassFunction, dixon_character_table
 from fuschar.cyclotomic import Cyclotomic
 from fuschar.exotic import (
+    CHAIN_BASES,
     CHAIN_LABELS,
+    base_construction_for,
     build_exotic_fusion,
     certificate_f1,
     certificate_g,
     certificate_op_f1,
     corrupted_certificate_f1,
-    exotic_fusion_spec,
     overgroup_context,
     table_3492,
 )
 from fuschar.fusion import apply_merges, fusion_from_group, fusion_of_self
 from fuschar.groups import cyclic_group, standard_group, sylow_subgroup
 from fuschar.intlinalg import mat_mul, transpose
+from fuschar.reftables import ITEMS
 from fuschar.stable import (
     StableLattice,
     decomposition_matrix,
@@ -215,21 +217,18 @@ def test_corrupted_certificate_names_failures():
     assert "eta_difference_pm_p" in rep.failures()
 
 
-def test_exotic_spec_serialization():
-    spec = exotic_fusion_spec("G_prune", 5)
-    assert spec == {"name": "G_prune", "p": 5, "mode": "group", "base": "N_b",
-                    "merges": [["z", "u"]]}
-    spec = exotic_fusion_spec("Op_F1", 5)
-    assert spec["base"] == "N_gamma4star"
-    spec = exotic_fusion_spec("Op_F1", 3)
-    assert spec["base"] == "N_gamma2"
-    spec = exotic_fusion_spec("F_3492", 3)
-    assert spec["mode"] == "table"
-    spec = exotic_fusion_spec("F547_chain:g", 5)
-    assert spec["family"] == "g" and spec["base"] == "N_b"
-    # without p, the chains run at p = 5 and every other system at p = 3
-    assert exotic_fusion_spec("F547_chain:psu")["p"] == 5
-    assert exotic_fusion_spec("F1")["p"] == exotic_fusion_spec("F_3492")["p"] == 3
+def test_exotic_items_name_their_overgroups_and_primes():
+    assert base_construction_for("G_prune", 5) == "N_b"
+    assert base_construction_for("Op_F1", 5) == "N_gamma4star"
+    assert base_construction_for("Op_F1", 3) == "N_gamma2"
+    assert CHAIN_BASES["g"] == "N_b"
+    # without p, the chains run at p = 5 and every other exotic system at p = 3
+    exotic_items = {name: item for name, item in ITEMS.items() if name.startswith("exotic:")}
+    assert {name: item.p for name, item in exotic_items.items()} == {
+        "exotic:G_prune": 3, "exotic:F1": 3, "exotic:Op_F1": 3, "exotic:F_3492": 3,
+        "exotic:F547_chain:psu": 5, "exotic:F547_chain:g": 5}
+    assert ITEMS["exotic:F_3492"].fixed
+    assert all(ITEMS[f"exotic:F547_chain:{family}"].fixed for family in CHAIN_LABELS)
 
 
 def test_basis_change_invariance_small():
