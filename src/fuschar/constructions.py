@@ -56,8 +56,15 @@ def form_action_matrix(p: int, lam: int, a: int, b: int, c: int, d: int) -> FpMa
 
 
 def mat_vec(m: FpMat, v: tuple[int, int, int]) -> tuple[int, int, int]:
-    p, r = m.p, m.rows()
-    return tuple(sum(r[i][j] * v[j] for j in range(3)) % p for i in range(3))
+    """m v, for v a column vector of V."""
+    e, (x, y, z) = m.entries, v
+    return tuple((e[i] * x + e[i + 1] * y + e[i + 2] * z) % m.p for i in (0, 3, 6))
+
+
+def vec_mat(a: tuple[int, int, int], m: FpMat) -> tuple[int, int, int]:
+    """a m, for a a row vector: the exponent vector of a character of V."""
+    e, (x, y, z) = m.entries, a
+    return tuple((x * e[j] + y * e[j + 3] + z * e[j + 6]) % m.p for j in (0, 1, 2))
 
 
 def u_linear(p: int) -> FpMat:
@@ -78,6 +85,10 @@ def translation(p: int, v: tuple[int, int, int]) -> FpMat:
 def linear_part(x: FpMat) -> FpMat:
     r = x.rows()
     return FpMat.from_rows(x.p, [row[:3] for row in r[:3]])
+
+
+def translation_part(x: FpMat) -> tuple[int, int, int]:
+    return x.entries[3:12:4]
 
 
 def is_translation(x: FpMat) -> bool:
@@ -116,9 +127,11 @@ def gamma_group(p: int, variant: str) -> FiniteGroup:
     return enumerate_group(gens)
 
 
-def _designated_v_elements(p: int, params: ConstructionParams) -> dict:
+def _designated(p: int, which: str) -> dict:
+    """The named elements of S (and b, in S:<b>), as affine matrices."""
+    params = ConstructionParams.for_prime(p)
     eps, lam = params.epsilon, params.lam
-    return {
+    designated = {
         "z": translation(p, (1, 0, 0)),
         "v1": translation(p, (1, 0, 0)),
         "v2": translation(p, (0, 1, 0)),
@@ -126,7 +139,27 @@ def _designated_v_elements(p: int, params: ConstructionParams) -> dict:
         "v1+e*v3": translation(p, (1, 0, eps)),
         "lam*v2": translation(p, (0, lam, 0)),
         "lam*(v1+e*v3)": translation(p, (lam, 0, lam * eps % p)),
+        "u": affine(u_linear(p), (0, 0, 0)),
     }
+    if which == "N_b":
+        designated["b"] = affine(linear_parts(p, which).generators[1], (0, 0, 0))
+    return designated
+
+
+def _v_generators(p: int) -> list[FpMat]:
+    return [translation(p, (1, 0, 0)), translation(p, (0, 1, 0)), translation(p, (0, 0, 1))]
+
+
+@lru_cache(maxsize=None)
+def linear_parts(p: int, which: str) -> FiniteGroup:
+    """H, the linear parts of the overgroup `which` = V:H, as a matrix group
+    on V: <u, b> for S:<b>, one of the Gamma-groups otherwise."""
+    if which == "N_b":
+        b = ConstructionParams.for_prime(p).b
+        return enumerate_group([u_linear(p), form_action_matrix(p, b, 1, 0, 0, b)])
+    if not which.startswith("N_") or which[2:] not in GAMMA_VARIANTS:
+        raise ValueError(f"unknown construction {which!r}")
+    return gamma_group(p, which[2:])
 
 
 @lru_cache(maxsize=None)
@@ -136,39 +169,20 @@ def build_group(p: int, which: str) -> FiniteGroup:
     which: "S" | "N_gamma" | "N_gamma2" | "N_gamma4star" | "N_b".
     The affine 4x4 representation puts V in the translation part.
     """
-    params = ConstructionParams.for_prime(p)
-    designated = _designated_v_elements(p, params)
-    u_aff = affine(u_linear(p), (0, 0, 0))
-    designated["u"] = u_aff
-    v_gens = [translation(p, (1, 0, 0)), translation(p, (0, 1, 0)),
-              translation(p, (0, 0, 1))]
-    if which == "S":
-        return enumerate_group(v_gens + [u_aff], designated=designated)
-    if which == "N_b":
-        b = params.b
-        b_aff = affine(form_action_matrix(p, b, 1, 0, 0, b), (0, 0, 0))
-        designated["b"] = b_aff
-        return enumerate_group(v_gens + [u_aff, b_aff], designated=designated)
-    if which in ("N_gamma", "N_gamma2", "N_gamma4star"):
-        variant = {"N_gamma": "gamma", "N_gamma2": "gamma2",
-                   "N_gamma4star": "gamma4star"}[which]
-        gam = gamma_group(p, variant)
-        gens = v_gens + [affine(m, (0, 0, 0)) for m in gam.generators]
-        return enumerate_group(gens, designated=designated)
-    raise ValueError(f"unknown construction {which!r}")
+    linear = [u_linear(p)] if which == "S" else linear_parts(p, which).generators
+    gens = _v_generators(p) + [affine(m, (0, 0, 0)) for m in linear]
+    return enumerate_group(gens, designated=_designated(p, which))
 
 
 @lru_cache(maxsize=None)
 def sylow_inside(p: int, which: str) -> FiniteGroup:
-    """The designated copy of S = V:U inside the overgroup `which`."""
-    n = build_group(p, which)
-    u_aff = n.designated["u"]
-    v_gens = [translation(p, (1, 0, 0)), translation(p, (0, 1, 0)),
-              translation(p, (0, 0, 1))]
-    s = enumerate_group(v_gens + [u_aff], designated=dict(n.designated))
-    if not s.is_subgroup_of(n):
+    """The designated copy of S = V:U inside the overgroup `which` = V:H.
+    N holds every translation, so S lies in N exactly when u's linear part
+    lies in H; N itself is not built."""
+    if u_linear(p) not in linear_parts(p, which):
         raise AssertionError(f"S is not a subgroup of {which} at p = {p}")
-    return s
+    designated = _designated(p, which)
+    return enumerate_group(_v_generators(p) + [designated["u"]], designated=designated)
 
 
 # -- orbit analysis of Gamma on V ---------------------------------------------
@@ -289,19 +303,24 @@ def table3_expected(p: int) -> dict[tuple[str, str], int]:
     }
 
 
+def character_stabiliser(h: FiniteGroup, a: tuple[int, int, int]) -> FiniteGroup:
+    """The subgroup of the matrix group h fixing the V-character with exponent
+    vector a, closed from the members its growing closure does not yet hold."""
+    members = [x for x in h.elements if vec_mat(a, x) == a]
+    if len(members) == h.order:
+        return h
+    stab = enumerate_group([h.identity])
+    for x in members:
+        if x not in stab:
+            stab = enumerate_group(stab.generators + [x], max_order=len(members))
+    return stab
+
+
 def gamma_stabilizer_of_character(p: int, psi_key: str,
                                   variant: str = "gamma") -> FiniteGroup:
     """Subgroup of Gamma fixing the V-character with exponent vector psi."""
-    params = ConstructionParams.for_prime(p)
-    avec = _psi_vector(psi_key, params)
-    gam = gamma_group(p, variant)
-    members = []
-    for g in gam.elements:
-        rows = g.rows()
-        img = tuple(sum(avec[i] * rows[i][j] for i in range(3)) % p for j in range(3))
-        if img == avec:
-            members.append(g)
-    return enumerate_group(members, max_order=gam.order)
+    avec = _psi_vector(psi_key, ConstructionParams.for_prime(p))
+    return character_stabiliser(gamma_group(p, variant), avec)
 
 
 def induced_value_formula(p: int, psi_key: str, rho_degree: int,

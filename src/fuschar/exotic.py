@@ -6,15 +6,17 @@ order-162 table-mode instance.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import NamedTuple
 
-from .chartable import CharacterTable, dixon_character_table
-from .constructions import build_group, is_translation, sylow_inside
+from .chartable import CharacterTable, ClassFunction, dixon_character_table
+from .constructions import (character_stabiliser, is_translation, linear_part, linear_parts,
+                            mat_vec, sylow_inside, translation_part, vec_mat)
 from .cyclotomic import Cyclotomic
-from .fusion import FusionData, TableFusion, apply_merges, fusion_from_group
+from .fusion import FusionData, TableFusion, _finalise, apply_merges, fusion_of_self
 from .groups import FiniteGroup, conjugacy_classes
-from .intlinalg import hnf, lattice_index, transpose
-from .stable import restriction_coordinates, stable_character_basis
+from .intlinalg import hnf, lattice_index, p_part, transpose
+from .stable import _decompose, stable_character_basis
 from .verify import InductionCertificate, _x_matrix
 
 
@@ -27,10 +29,16 @@ class RestrictionRow(NamedTuple):
     n_preimages: int
 
 
+class AffineOvergroup(NamedTuple):
+    """N = V:H, held as its linear parts H and its order p^3 |H|."""
+    H: FiniteGroup
+    order: int
+
+
 class OvergroupContext(NamedTuple):
     p: int
     which: str
-    N: FiniteGroup
+    N: AffineOvergroup
     S: FiniteGroup
     irr_s: CharacterTable
     base: FusionData  # fusion of S induced by N
@@ -46,26 +54,113 @@ class OvergroupContext(NamedTuple):
 
 @lru_cache(maxsize=None)
 def overgroup_context(p: int, which: str) -> OvergroupContext:
-    n = build_group(p, which)
+    """S, Irr(S), the fusion of S in N = V:H and Irr(N)|_S, from H alone:
+    N is never enumerated.  V lies in S, so S-classes fuse in N exactly when
+    H conjugates one into the other; by second orthogonality, that fusion
+    and the Clifford rows of Irr(N)|_S certify each other."""
+    h = linear_parts(p, which)
     s = sylow_inside(p, which)
-    base = fusion_from_group(n, s, p)
-    irr_s = dixon_character_table(s)
-    restricted, coords = restriction_coordinates(dixon_character_table(n), s, irr_s)
+    n = AffineOvergroup(h, p ** 3 * h.order)
     sc = conjugacy_classes(s)
-    anchor_cols = [sc.class_index_of(s, fc.rep) for fc in base.classes]
+    reps = [(translation_part(c.rep), linear_part(c.rep), c.rep_order) for c in sc.classes]
+    sylow = s.order == p_part(n.order, p)
+    base = _finalise(s, p, _fusion_by_conjugation(p, s, h, reps), "group", certified=sylow,
+                     sylow=sylow)
+    irr_s = dixon_character_table(s)
+    restricted = _clifford_restrictions(p, h, reps)
+    if sum(chi.degree_int() ** 2 for chi in restricted) != n.order:
+        raise AssertionError("Clifford degrees: the squares of chi(1) do not sum to |N|")
     groups: dict[tuple, list] = {}
-    for chi, row in zip(restricted, coords):
-        groups.setdefault(tuple(row), []).append(chi)
-    rows = [RestrictionRow(coords=key, degree=chis[0].degree_int(),
+    for chi in restricted:  # each value in Z[zeta_o], o its class's element order
+        groups.setdefault(tuple(v.coeffs for v in chi.values), []).append(chi)
+    distinct = [chis[0] for chis in groups.values()]
+    columns: dict[tuple, list[int]] = {}
+    for j, col in enumerate(zip(*(chi.values for chi in distinct))):
+        columns.setdefault(tuple(v.embedded(irr_s.conductor).coeffs for v in col), []).append(j)
+    if sorted(columns.values()) != sorted(list(fc.s_class_indices) for fc in base.classes):
+        raise AssertionError("Clifford columns: the restricted columns do not agree "
+                             "exactly on the classes fused by H-conjugation")
+    coords = _decompose(distinct, irr_s, irr_s.conductor, n.order)
+    anchor_cols = [sc.class_index_of(s, fc.rep) for fc in base.classes]
+    rows = [RestrictionRow(coords=tuple(row), degree=chis[0].degree_int(),
                            values=tuple(chis[0].values[j] for j in anchor_cols),
                            n_preimages=len(chis))
-            for key, chis in groups.items()]
+            for row, chis in zip(coords, groups.values())]
     rows.sort(key=lambda r: (r.degree, tuple(v.embedded(irr_s.conductor).coeffs
                                              for v in r.values)))
     u_cls = [i for i, fc in enumerate(base.classes) if not is_translation(fc.rep)]
     u_main = base.class_of_element(s.designated["u"])
     u_cls.sort(key=lambda i: (i != u_main, i))
     return OvergroupContext(p, which, n, s, irr_s, base, rows, u_cls)
+
+
+def _fusion_by_conjugation(p: int, s: FiniteGroup, h: FiniteGroup,
+                           reps: list) -> list[list[int]]:
+    """The S-classes grouped by H-conjugacy.  H's orbits on V are closed under
+    its generators; off V, x (v, g) x^-1 = (xv, xgx^-1) lies in S exactly when
+    x normalises U, which every g != 1 generates."""
+    sc = conjugacy_classes(s)
+    where = {(translation_part(y), linear_part(y).entries): c
+             for y, c in zip(s.elements, sc.class_of)}
+    one = h.identity.entries
+    pairs = {(where[v, one], where[mat_vec(m, v), one])
+             for v in product(range(p), repeat=3) for m in h.generators}
+    off_v = [(i, v, g) for i, (v, g, _) in enumerate(reps) if g.entries != one]
+    u_set = {g.entries for _, _, g in off_v}
+    for x in h.elements:
+        x_inv = x.inverse()
+        if (x * off_v[0][2] * x_inv).entries in u_set:
+            conj = {g: (x * g * x_inv).entries for g in {g for _, _, g in off_v}}
+            pairs.update((i, where[mat_vec(x, v), conj[g]]) for i, v, g in off_v)
+    merges = [(sc.classes[i].rep, sc.classes[j].rep) for i, j in pairs if i != j]
+    return [list(fc.s_class_indices) for fc in apply_merges(fusion_of_self(s, p), merges).classes]
+
+
+def _clifford_restrictions(p: int, h: FiniteGroup, reps: list) -> list[ClassFunction]:
+    """Irr(V:H) at the S-class representatives (v, g) of order o, one row per
+    irreducible (Isaacs, ch. 6): for a representing each H-orbit on the
+    characters lambda_a(v) = zeta_p^(a.v) of V, and psi in Irr(H_a),
+    Ind(lambda_a psi) takes at (v, g) the sum over b = a y (y in H) with
+    bg = b of zeta_p^(b.v) psi(y g y^-1).  That lies in Z[zeta_o] term by
+    term: g has order dividing o, and p divides o unless (v, g) = 1."""
+    linear = {g for _, g, _ in reps}
+    seen: set = set()
+    out = []
+    for a in product(range(p), repeat=3):
+        if a in seen:
+            continue
+        orbit: dict[tuple, object] = {}  # b -> some y in H with a y = b
+        for y in h.elements:
+            orbit.setdefault(vec_mat(a, y), y)
+        seen.update(orbit)
+        stab = character_stabiliser(h, a)
+        if stab.order * len(orbit) != h.order:
+            raise AssertionError("orbit-stabiliser count failed for H_a")
+        table = dixon_character_table(stab)
+        inverses = {b: y.inverse() for b, y in orbit.items()}
+        # for each linear part g: the b that g fixes, with the H_a-class of y g y^-1
+        fixed = {g: [(b, table.classes.class_index_of(stab, y * g * inverses[b]))
+                     for b, y in orbit.items() if vec_mat(b, g) == b]
+                 for g in linear}
+        counts = []  # per representative: (exponent of zeta_p, H_a-class) -> count
+        for v, g, _ in reps:
+            cnt: dict[tuple[int, int], int] = {}
+            for b, c in fixed[g]:
+                key = ((b[0] * v[0] + b[1] * v[1] + b[2] * v[2]) % p, c)
+                cnt[key] = cnt.get(key, 0) + 1
+            counts.append(cnt)
+        for psi in table.chars:
+            values = []
+            for (_, _, o), cnt in zip(reps, counts):
+                vec = [0] * o
+                for (t, c), mult in cnt.items():
+                    x = psi.values[c]
+                    step = o // x.order
+                    for i, coeff in x.terms():
+                        vec[(t * (o // p) + i * step) % o] += mult * coeff
+                values.append(Cyclotomic(o, vec))
+            out.append(ClassFunction(tuple(values)))
+    return out
 
 
 def _row_value_int(row: RestrictionRow, idx: int) -> int | None:

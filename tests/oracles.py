@@ -22,13 +22,17 @@ from fuschar.constructions import (
     affine,
     build_group,
     gamma_stabilizer_of_character,
+    is_translation,
     linear_part,
     translation,
+    translation_part,
 )
 from fuschar.cyclotomic import Cyclotomic, cyclo_dot
-from fuschar.fusion import apply_merges
+from fuschar.exotic import OvergroupContext, RestrictionRow
+from fuschar.fusion import apply_merges, fusion_from_group
 from fuschar.groups import conjugacy_classes, enumerate_group
 from fuschar.intlinalg import HNFResult, _row_sub, det_exact, identity_matrix, mat_mul
+from fuschar.stable import restriction_coordinates
 
 
 def full_merge(base):
@@ -46,9 +50,31 @@ def orbit_containing(orbits, gam, target):
     raise ValueError(f"{target} lies in no computed orbit")
 
 
-def translation_part(x):
-    r = x.rows()
-    return (r[0][3], r[1][3], r[2][3])
+def overgroup_context_by_enumeration(p, which):
+    """`overgroup_context` from the enumerated overgroup N: the base fusion
+    from N's classes and the rows from Dixon-Schneider on N."""
+    n = build_group(p, which)
+    v_gens = [translation(p, (1, 0, 0)), translation(p, (0, 1, 0)), translation(p, (0, 0, 1))]
+    s = enumerate_group(v_gens + [n.designated["u"]], designated=dict(n.designated))
+    assert s.is_subgroup_of(n)
+    base = fusion_from_group(n, s, p)
+    irr_s = dixon_character_table(s)
+    restricted, coords = restriction_coordinates(dixon_character_table(n), s, irr_s)
+    sc = conjugacy_classes(s)
+    anchor_cols = [sc.class_index_of(s, fc.rep) for fc in base.classes]
+    groups = {}
+    for chi, row in zip(restricted, coords):
+        groups.setdefault(tuple(row), []).append(chi)
+    rows = [RestrictionRow(coords=key, degree=chis[0].degree_int(),
+                           values=tuple(chis[0].values[j] for j in anchor_cols),
+                           n_preimages=len(chis))
+            for key, chis in groups.items()]
+    rows.sort(key=lambda r: (r.degree, tuple(v.embedded(irr_s.conductor).coeffs
+                                             for v in r.values)))
+    u_cls = [i for i, fc in enumerate(base.classes) if not is_translation(fc.rep)]
+    u_main = base.class_of_element(s.designated["u"])
+    u_cls.sort(key=lambda i: (i != u_main, i))
+    return OvergroupContext(p, which, n, s, irr_s, base, rows, u_cls)
 
 
 def induced_value_direct(p, psi_key, rho_degree, v_key):

@@ -1,0 +1,111 @@
+"""The overgroup context of N = V:H, built from H alone: the fusion of S by
+H-conjugation and Irr(N)|_S by Clifford theory, against the enumerated N."""
+
+import pytest
+
+import fuschar.constructions
+import fuschar.exotic
+import fuschar.groups
+from fuschar.constructions import gamma_group, linear_parts, sylow_inside
+from fuschar.exotic import overgroup_context
+
+from oracles import overgroup_context_by_enumeration
+
+CASES = [(3, "N_b"), (3, "N_gamma"), (3, "N_gamma2"),
+         (5, "N_b"), (5, "N_gamma"), (5, "N_gamma2"), (5, "N_gamma4star")]
+
+
+def _values(values):
+    return [(v.order, v.coeffs) for v in values]
+
+
+@pytest.mark.parametrize("p, which", CASES)
+def test_context_equals_the_enumerated_oracle(p, which):
+    ctx = overgroup_context(p, which)
+    oracle = overgroup_context_by_enumeration(p, which)
+    assert (ctx.p, ctx.which, ctx.N.order) == (oracle.p, oracle.which, oracle.N.order)
+    assert ctx.N.order == p ** 3 * ctx.N.H.order
+    assert ctx.S is not oracle.S
+    assert ctx.S.codes == oracle.S.codes and ctx.S.designated == oracle.S.designated
+    assert [_values(chi.values) for chi in ctx.irr_s.chars] == \
+        [_values(chi.values) for chi in oracle.irr_s.chars]
+    assert [(fc.s_class_indices, fc.rep, fc.rep_order, fc.centralizer_order, fc.size)
+            for fc in ctx.base.classes] == \
+        [(fc.s_class_indices, fc.rep, fc.rep_order, fc.centralizer_order, fc.size)
+         for fc in oracle.base.classes]
+    assert (ctx.base.provenance, ctx.base.saturation_certified, ctx.base.sylow_in_overgroup) == \
+        (oracle.base.provenance, oracle.base.saturation_certified,
+         oracle.base.sylow_in_overgroup)
+    assert [(r.coords, r.degree, _values(r.values), r.n_preimages) for r in ctx.rows] == \
+        [(r.coords, r.degree, _values(r.values), r.n_preimages) for r in oracle.rows]
+    assert ctx.u_class_indices == oracle.u_class_indices
+
+
+def test_no_closure_is_larger_than_s_or_h(monkeypatch):
+    """Every group the context enumerates, the linear parts and S included,
+    is at most max(|S|, |H|): N itself is never closed."""
+    orders = []
+    real = fuschar.groups.enumerate_group
+
+    def recording(*args, **kw):
+        group = real(*args, **kw)
+        orders.append(group.order)
+        return group
+
+    # every module's enumerate_group records, and the caches are bypassed,
+    # so every closure of a fresh build is seen
+    for module in (fuschar.groups, fuschar.constructions, fuschar.exotic):
+        if hasattr(module, "enumerate_group"):
+            monkeypatch.setattr(module, "enumerate_group", recording)
+        for cached in (linear_parts, sylow_inside, gamma_group):
+            if hasattr(module, cached.__name__):
+                monkeypatch.setattr(module, cached.__name__, cached.__wrapped__)
+    for p, which in CASES:
+        del orders[:]
+        ctx = overgroup_context.__wrapped__(p, which)
+        assert orders and max(orders) <= max(p ** 4, ctx.N.H.order), (p, which, orders)
+        assert ctx.N.H.order in orders and p ** 4 in orders
+
+
+def _split_one_fused_class(real):
+    def stub(*args):
+        groups = real(*args)
+        i = next(i for i, grp in enumerate(groups) if len(grp) > 1)
+        return groups[:i] + [groups[i][:1], groups[i][1:]] + groups[i + 1:]
+    return stub
+
+
+# the checks raise explicitly, so they hold under `python -O` too
+# (tests/test_runtime_checks.py keeps the package free of bare asserts)
+
+
+def test_a_dropped_union_in_the_fusion_is_caught(monkeypatch):
+    monkeypatch.setattr(fuschar.exotic, "_fusion_by_conjugation",
+                        _split_one_fused_class(fuschar.exotic._fusion_by_conjugation))
+    with pytest.raises(AssertionError, match="Clifford columns"):
+        overgroup_context.__wrapped__(3, "N_gamma")
+
+
+def test_a_tampered_clifford_value_is_caught(monkeypatch):
+    fused = next(fc.s_class_indices for fc in overgroup_context(3, "N_gamma").base.classes
+                 if len(fc.s_class_indices) > 1)
+    real = fuschar.exotic._clifford_restrictions
+
+    def tampered(p, h, reps):
+        chis = real(p, h, reps)
+        values = list(chis[-1].values)
+        values[fused[-1]] = values[fused[-1]] + 1
+        return chis[:-1] + [chis[-1]._replace(values=tuple(values))]
+
+    monkeypatch.setattr(fuschar.exotic, "_clifford_restrictions", tampered)
+    with pytest.raises(AssertionError, match="Clifford columns"):
+        overgroup_context.__wrapped__(3, "N_gamma")
+
+
+def test_a_missing_irreducible_is_caught(monkeypatch):
+    real = fuschar.exotic._clifford_restrictions
+    monkeypatch.setattr(fuschar.exotic, "_clifford_restrictions",
+                        lambda p, h, reps: real(p, h, reps)[1:])
+    with pytest.raises(AssertionError, match="Clifford degrees"):
+        overgroup_context.__wrapped__(3, "N_gamma")
+

@@ -199,11 +199,18 @@ def test_cli_runs_p7_overgroups_without_a_flag(capsys):
 
 
 def test_cli_group_size_cap_is_the_guard_on_overgroup_size(monkeypatch, capsys):
+    """The overgroup context of `table2 --p 7` never builds N_gamma (691,488
+    elements); its largest closure is the linear parts Gamma (2,016), and the
+    cap guards that closure."""
     import fuschar.groups
+    from fuschar.constructions import gamma_group, linear_parts
+    from fuschar.exotic import overgroup_context
 
-    monkeypatch.setattr(fuschar.groups, "DEFAULT_MAX_ORDER", 50_000)
+    for cached in (overgroup_context, linear_parts, gamma_group):
+        cached.cache_clear()
+    monkeypatch.setattr(fuschar.groups, "DEFAULT_MAX_ORDER", 1000)
     assert main(["paper", "--item", "table2", "--p", "7"]) == 2
-    assert "group too large: closure exceeded the cap of 50000 elements" in capsys.readouterr().err
+    assert "group too large: closure exceeded the cap of 1000 elements" in capsys.readouterr().err
 
 
 def test_verify_fusion_at_a_prime_not_dividing_the_order(tmp_path, capsys):
