@@ -43,6 +43,7 @@ from .stable import (
     decomposition_matrix,
     factoriality_check,
     indecomposables_bounded,
+    refine_stable_lattice,
     stable_character_basis,
 )
 from .verify import (

@@ -165,22 +165,29 @@ def dixon_character_table(G: FiniteGroup) -> CharacterTable:
     by every caller, so its rows are a tuple (build a changed table with
     `table._replace`).  A computation that raises caches nothing."""
     if G._table is None:
-        G._table = _dixon_table(G)
+        _dixon_table(G)
     return G._table
 
 
 def _dixon_table(G: FiniteGroup) -> CharacterTable:
     classes = conjugacy_classes(G)
-    exponent = G.exponent()
     # the trivial group is cyclic too: its one class generates it
     cyc = next((i for i, c in enumerate(classes.classes) if c.rep_order == G.order), None)
     if cyc is not None:
         chars = _cyclic_characters(classes.powers[cyc])
     else:
-        chars = _dixon_characters(G, classes, exponent)
-    chars.sort(key=lambda cf: _char_sort_key(cf, exponent))
-    table = CharacterTable(G, classes, tuple(chars), exponent)
+        chars = _dixon_characters(G, classes, G.exponent())
+    return cache_character_table(G, chars)
+
+
+def cache_character_table(G: FiniteGroup, chars) -> CharacterTable:
+    """Irr(G) from its irreducibles in any order: sorted, checked by
+    `_validate_table` and cached on G, where `dixon_character_table` finds it."""
+    exponent = G.exponent()
+    chars = sorted(chars, key=lambda cf: _char_sort_key(cf, exponent))
+    table = CharacterTable(G, conjugacy_classes(G), tuple(chars), exponent)
     _validate_table(table)
+    G._table = table
     return table
 
 

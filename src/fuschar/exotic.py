@@ -9,12 +9,13 @@ from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
-from .chartable import CharacterTable, ClassFunction, dixon_character_table
+from .chartable import (CharacterTable, ClassFunction, cache_character_table,
+                        dixon_character_table)
 from .constructions import (character_stabiliser, is_translation, linear_part, linear_parts,
                             mat_vec, sylow_inside, translation_part, vec_mat)
 from .cyclotomic import Cyclotomic
 from .fusion import FusionData, TableFusion, _finalise, apply_merges, fusion_of_self
-from .groups import FiniteGroup, conjugacy_classes
+from .groups import FiniteGroup, conjugacy_classes, enumerate_group
 from .intlinalg import hnf, lattice_index, p_part, transpose
 from .stable import _decompose, stable_character_basis
 from .verify import InductionCertificate, _x_matrix
@@ -57,7 +58,8 @@ def overgroup_context(p: int, which: str) -> OvergroupContext:
     """S, Irr(S), the fusion of S in N = V:H and Irr(N)|_S, from H alone:
     N is never enumerated.  V lies in S, so S-classes fuse in N exactly when
     H conjugates one into the other; by second orthogonality, that fusion
-    and the Clifford rows of Irr(N)|_S certify each other."""
+    and the Clifford rows of Irr(N)|_S certify each other.  S = V:U is
+    affine too, so Irr(S) is the Clifford table with H = U = <u's linear part>."""
     h = linear_parts(p, which)
     s = sylow_inside(p, which)
     n = AffineOvergroup(h, p ** 3 * h.order)
@@ -66,7 +68,8 @@ def overgroup_context(p: int, which: str) -> OvergroupContext:
     sylow = s.order == p_part(n.order, p)
     base = _finalise(s, p, _fusion_by_conjugation(p, s, h, reps), "group", certified=sylow,
                      sylow=sylow)
-    irr_s = dixon_character_table(s)
+    u_group = enumerate_group([linear_part(s.designated["u"])])
+    irr_s = cache_character_table(s, _clifford_restrictions(p, u_group, reps))
     restricted = _clifford_restrictions(p, h, reps)
     if sum(chi.degree_int() ** 2 for chi in restricted) != n.order:
         raise AssertionError("Clifford degrees: the squares of chi(1) do not sum to |N|")

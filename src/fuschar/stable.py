@@ -30,16 +30,10 @@ class StableLattice(NamedTuple):
     rank: int
 
 
-def stable_kernel_basis(value_rows, class_groups, conductor: int) -> list[list[int]]:
-    """HNF basis of the integer combinations of `value_rows` (class functions
-    given by their values, all in Z[zeta_conductor]) that are constant on
-    every group of columns.
-
-    The first column of each group is its anchor: one integer constraint per
-    other column of the group, per cyclotomic coordinate, on the difference
-    from the anchor.  The lattice is the integral kernel; its rank must equal
-    the number of groups.
-    """
+def _constancy_constraints(value_rows, class_groups, conductor: int) -> list[list[int]]:
+    """One integer constraint per column of a group but its first (the
+    anchor), per cyclotomic coordinate, on the difference from the anchor
+    of the `value_rows` (class functions, all in Z[zeta_conductor])."""
     constraints: list[list[int]] = []
     for grp in class_groups:
         anchor = grp[0]
@@ -50,14 +44,25 @@ def stable_kernel_basis(value_rows, class_groups, conductor: int) -> list[list[i
                 con = [d.coeffs[coeff_idx] for d in deltas]
                 if any(con):
                     constraints.append(con)
+    return constraints
+
+
+def _checked_rank(basis: list[list[int]], k: int) -> list[list[int]]:
+    if len(basis) != k:
+        raise AssertionError(f"stable lattice rank {len(basis)} != class count {k}")
+    return basis
+
+
+def stable_kernel_basis(value_rows, class_groups, conductor: int) -> list[list[int]]:
+    """HNF basis of the integer combinations of `value_rows` that are constant
+    on every group of columns: the integral kernel of the constancy
+    constraints, whose rank must equal the number of groups."""
+    constraints = _constancy_constraints(value_rows, class_groups, conductor)
     if constraints:
         basis = kernel_rows(transpose(constraints))
     else:
         basis = identity_matrix(len(value_rows))
-    if len(basis) != len(class_groups):
-        raise AssertionError(
-            f"stable lattice rank {len(basis)} != class count {len(class_groups)}")
-    return basis
+    return _checked_rank(basis, len(class_groups))
 
 
 def stable_character_basis(irr_s: CharacterTable, fusion: FusionData) -> StableLattice:
@@ -73,6 +78,32 @@ def stable_character_basis(irr_s: CharacterTable, fusion: FusionData) -> StableL
                                 [fc.s_class_indices for fc in fusion.classes],
                                 irr_s.conductor)
     return StableLattice(fusion, irr_s, basis, len(basis))
+
+
+def refine_stable_lattice(lattice: StableLattice, fusion: FusionData) -> StableLattice:
+    """The stable lattice of `fusion`, refined from that of a finer fusion.
+
+    When every class of `fusion` is a union of classes of `lattice.fusion`,
+    its lattice is the part of the base lattice (basis B) killed by C_new,
+    the constraints joining the merged classes' anchors: the rows of K B, K
+    the kernel of B C_new^T, whose canonical HNF is the basis
+    `stable_character_basis` builds.  Other fusions go to that function."""
+    base = lattice.fusion
+    target_of = {si: ti for ti, fc in enumerate(fusion.classes) for si in fc.s_class_indices}
+    if fusion.S is not base.S or any(
+            len({target_of[si] for si in fc.s_class_indices}) != 1 for fc in base.classes):
+        return stable_character_basis(lattice.irr_s, fusion)
+    joined: dict[int, list[int]] = {}
+    for fc in base.classes:
+        joined.setdefault(target_of[fc.s_class_indices[0]], []).append(fc.s_class_indices[0])
+    constraints = _constancy_constraints([chi.values for chi in lattice.irr_s.chars],
+                                         joined.values(), lattice.irr_s.conductor)
+    basis = lattice.basis
+    if constraints:
+        kernel = kernel_rows(mat_mul(basis, transpose(constraints)))
+        basis = [r for r in hnf(mat_mul(kernel, basis)).hnf if any(r)]
+    basis = _checked_rank(basis, fusion.k)
+    return StableLattice(fusion, lattice.irr_s, basis, len(basis))
 
 
 def _decompose(chis, irr_s: CharacterTable, e: int, order: int) -> list[list[int]]:

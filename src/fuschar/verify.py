@@ -17,6 +17,7 @@ from .intlinalg import det_exact, hnf, lattice_index, mat_mul, p_part, prime_div
 from .stable import (
     StableLattice,
     decomposition_matrix,
+    refine_stable_lattice,
     stable_character_basis,
     stable_kernel_basis,
 )
@@ -357,8 +358,9 @@ def check_induction_certificate(cert: InductionCertificate, irr_s: CharacterTabl
 
     hyp["b_f_independent"] = hnf(cert.b_f).rank == len(cert.b_f) == cert.target.k
     # the target lattice is the whole integral kernel of the constancy
-    # constraints, so a row is constant on the target classes iff it lies in it
-    target_lattice = stable_character_basis(irr_s, cert.target)
+    # constraints, so a row is constant on the target classes iff it lies in
+    # it; a target coarsening the base is refined from the base lattice
+    target_lattice = refine_stable_lattice(base_lattice, cert.target)
     solve_target = hnf(target_lattice.basis).solve
     hyp["b_f_stable"] = all(solve_target(row) is not None for row in cert.b_f)
 

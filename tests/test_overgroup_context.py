@@ -3,6 +3,7 @@ H-conjugation and Irr(N)|_S by Clifford theory, against the enumerated N."""
 
 import pytest
 
+import fuschar.chartable
 import fuschar.constructions
 import fuschar.exotic
 import fuschar.groups
@@ -67,6 +68,36 @@ def test_no_closure_is_larger_than_s_or_h(monkeypatch):
         assert ctx.N.H.order in orders and p ** 4 in orders
 
 
+def test_irr_s_comes_from_clifford_theory_not_dixon_schneider(monkeypatch):
+    """S = V:U is affine, so Irr(S) is the Clifford table with H = U: a fresh
+    context runs Dixon-Schneider on no group of order |S|."""
+    orders = []
+    real = fuschar.chartable._dixon_characters
+
+    def recording(G, *args):
+        orders.append(G.order)
+        return real(G, *args)
+
+    monkeypatch.setattr(fuschar.chartable, "_dixon_characters", recording)
+    for cached in (linear_parts, sylow_inside, gamma_group):
+        monkeypatch.setattr(fuschar.constructions, cached.__name__, cached.__wrapped__)
+        monkeypatch.setattr(fuschar.exotic, cached.__name__, cached.__wrapped__, raising=False)
+    for p, which in CASES:
+        del orders[:]
+        ctx = overgroup_context.__wrapped__(p, which)
+        assert ctx.irr_s.group is ctx.S and ctx.S._table is ctx.irr_s
+        assert p ** 4 not in orders, (p, which, orders)
+
+
+def test_irr_s_at_p7_equals_dixon_schneider_on_a_fresh_s():
+    ctx = overgroup_context(7, "N_gamma")
+    fresh = sylow_inside.__wrapped__(7, "N_gamma")
+    oracle = fuschar.chartable._dixon_table(fresh)
+    assert fresh is not ctx.S and fresh.codes == ctx.S.codes
+    assert [_values(chi.values) for chi in ctx.irr_s.chars] == \
+        [_values(chi.values) for chi in oracle.chars]
+
+
 def _split_one_fused_class(real):
     def stub(*args):
         groups = real(*args)
@@ -91,8 +122,10 @@ def test_a_tampered_clifford_value_is_caught(monkeypatch):
                  if len(fc.s_class_indices) > 1)
     real = fuschar.exotic._clifford_restrictions
 
-    def tampered(p, h, reps):
+    def tampered(p, h, reps):  # Irr(N)|_S only: U = <u's linear part> has order p
         chis = real(p, h, reps)
+        if h.order == p:
+            return chis
         values = list(chis[-1].values)
         values[fused[-1]] = values[fused[-1]] + 1
         return chis[:-1] + [chis[-1]._replace(values=tuple(values))]
@@ -105,7 +138,7 @@ def test_a_tampered_clifford_value_is_caught(monkeypatch):
 def test_a_missing_irreducible_is_caught(monkeypatch):
     real = fuschar.exotic._clifford_restrictions
     monkeypatch.setattr(fuschar.exotic, "_clifford_restrictions",
-                        lambda p, h, reps: real(p, h, reps)[1:])
+                        lambda p, h, reps: real(p, h, reps)[h.order > p:])
     with pytest.raises(AssertionError, match="Clifford degrees"):
         overgroup_context.__wrapped__(3, "N_gamma")
 

@@ -26,6 +26,7 @@ from fuschar.stable import (
     genuine_stable_characters,
     indecomposables_bounded,
     irr_coordinates,
+    refine_stable_lattice,
     restriction_coordinates,
     stable_character_basis,
 )
@@ -280,3 +281,67 @@ def test_a_tampered_restriction_raises_instead_of_a_wrong_multiplicity():
     restricted, _ = restrict_table(irr_g._replace(chars=tuple(chars)), s)
     with pytest.raises(AssertionError, match="do not recombine"):
         irr_coordinates(restricted[deg2], irr_s)
+
+
+# -- refined lattices ------------------------------------------------------------
+
+
+def _refines_to_the_full_kernel(lattice, target):
+    refined = refine_stable_lattice(lattice, target)
+    assert refined.fusion is target and refined.irr_s is lattice.irr_s
+    assert refined.basis == stable_character_basis(lattice.irr_s, target).basis
+    assert refined.rank == target.k
+    return refined
+
+
+@pytest.mark.parametrize("family", ["psu", "g"])
+def test_each_chain_step_refines_to_the_full_kernel(family):
+    from fuschar.exotic import CHAIN_BASES, chain_certificates
+
+    irr_s = overgroup_context(5, CHAIN_BASES[family]).irr_s
+    certs = chain_certificates(family, 5)
+    lattice = stable_character_basis(irr_s, certs[0].base)
+    for cert in certs:
+        assert cert.base is lattice.fusion
+        lattice = _refines_to_the_full_kernel(lattice, cert.target)
+
+
+@pytest.mark.parametrize("which", ["N_b", "N_gamma", "N_gamma2"])
+def test_each_single_merge_into_z_refines_to_the_full_kernel(which):
+    ctx = overgroup_context(3, which)
+    lattice = stable_character_basis(ctx.irr_s, ctx.base)
+    z = ctx.z_element()
+    # every class of z's order p: the classes in V and u's class, the one
+    # such class off V (the others have order 9 at p = 3)
+    merged = [i for i, fc in enumerate(ctx.base.classes)
+              if fc.rep_order == 3 and i != ctx.class_of(z)]
+    assert ctx.u_class_indices[0] in merged
+    for i in merged:
+        _refines_to_the_full_kernel(lattice, apply_merges(ctx.base, [(z, ctx.base.classes[i].rep)]))
+
+
+def test_the_example27_merge_refines_to_the_full_kernel():
+    c8 = cyclic_group(8)
+    a = c8.designated["a"]
+    base = stable_character_basis(dixon_character_table(c8), fusion_of_self(c8, 2))
+    refined = _refines_to_the_full_kernel(base, apply_merges(base.fusion, [(a ** 2, a ** 6)]))
+    # a partition equal to the base adds no constraint
+    assert refine_stable_lattice(refined, refined.fusion).basis == refined.basis
+
+
+def test_a_target_that_does_not_coarsen_the_base_goes_to_the_full_kernel(monkeypatch):
+    ctx = overgroup_context(3, "N_gamma")
+    merged = apply_merges(ctx.base, [(ctx.z_element(), ctx.S.designated["u"])])
+    coarse = stable_character_basis(ctx.irr_s, merged)
+    calls = []
+    real = fuschar.stable.stable_character_basis
+    monkeypatch.setattr(fuschar.stable, "stable_character_basis",
+                        lambda irr_s, fusion: calls.append(fusion) or real(irr_s, fusion))
+    # the base is finer than the merged fusion, not coarser
+    assert refine_stable_lattice(coarse, ctx.base).basis == real(ctx.irr_s, ctx.base).basis
+    assert calls == [ctx.base]
+    # and a fusion of another copy of S goes there too, whatever its classes
+    other = fusion_of_self(enumerate_group(ctx.S.generators), 3)
+    assert refine_stable_lattice(stable_character_basis(ctx.irr_s, ctx.base), other).basis == \
+        real(ctx.irr_s, other).basis
+    assert calls[-1] is other

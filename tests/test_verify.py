@@ -555,19 +555,28 @@ def test_a_certificate_chain_builds_each_stable_lattice_once(monkeypatch, capsys
     import fuschar.verify
 
     calls = []
-    original = fuschar.stable.stable_character_basis
 
-    def counted(irr_s, fusion):
-        calls.append(fusion)
-        return original(irr_s, fusion)
+    def counted(name):
+        original = getattr(fuschar.stable, name)
 
-    monkeypatch.setattr(fuschar.stable, "stable_character_basis", counted)
-    monkeypatch.setattr(fuschar.verify, "stable_character_basis", counted)
-    assert fuschar.cli.main(["paper", "--item", "exotic:F547_chain:psu"]) == 0
-    assert capsys.readouterr().out.count("certificate passed") == 4
-    # one lattice for the base and one for each of the four targets
-    assert len(calls) == 5
-    assert len({id(f) for f in calls}) == 5
+        def call(lattice_or_table, fusion):
+            calls.append((name, fusion))
+            return original(lattice_or_table, fusion)
+        return call
+
+    for name in ("stable_character_basis", "refine_stable_lattice"):
+        wrapped = counted(name)
+        monkeypatch.setattr(fuschar.stable, name, wrapped)
+        monkeypatch.setattr(fuschar.verify, name, wrapped)
+    for family, steps in (("psu", 4), ("g", 5)):
+        del calls[:]
+        assert fuschar.cli.main(["paper", "--item", f"exotic:F547_chain:{family}"]) == 0
+        assert capsys.readouterr().out.count("certificate passed") == steps
+        # one full kernel for the base, then each target refined from the
+        # step before: every lattice is built once
+        assert [name for name, _ in calls] == \
+            ["stable_character_basis"] + ["refine_stable_lattice"] * steps
+        assert len({id(f) for _, f in calls}) == 1 + steps
 
 
 def test_a_chain_reports_as_its_steps_checked_one_by_one():
