@@ -12,7 +12,6 @@ from .intlinalg import (
     det_exact,
     hnf,
     kernel_rows,
-    lattice_volume_index,
     p_part,
     p_valuation,
     smith_invariants,
@@ -36,12 +35,11 @@ from .chartable import (
     regular_character,
     restrict_table,
 )
-from .fusion import FusionData, TableFusion, apply_merges, fully_centralised_reps, fusion_from_group
+from .fusion import FusionData, TableFusion, apply_merges, fusion_from_group
 from .stable import (
     DecompositionData,
     StableLattice,
     decomposition_matrix,
-    factoriality_check,
     indecomposables_bounded,
     refine_stable_lattice,
     stable_character_basis,

@@ -68,10 +68,6 @@ def regular_character(classes: ConjugacyClassSet, group_order: int) -> ClassFunc
     return ClassFunction(tuple(vals))
 
 
-def trivial_character(classes: ConjugacyClassSet) -> ClassFunction:
-    return ClassFunction(tuple(Cyclotomic.one() for _ in classes.classes))
-
-
 # -- modular linear algebra helpers ------------------------------------------
 
 

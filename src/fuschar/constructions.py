@@ -8,7 +8,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .groups import FiniteGroup, FpMat, enumerate_group
+from .groups import FiniteGroup, FpMat, enumerate_group, orbit_stabiliser
 from .intlinalg import is_prime, primitive_root
 
 
@@ -195,25 +195,9 @@ class OrbitInfo(NamedTuple):
     stabilizer_abelian: bool
 
 
-def _orbit(gam: FiniteGroup, v: tuple[int, int, int]) -> set:
-    """The orbit of v under the matrix group, by breadth-first search."""
-    orbit = {v}
-    frontier = [v]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gam.generators:
-                img = mat_vec(g, w)
-                if img not in orbit:
-                    orbit.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return orbit
-
-
 def gamma_orbit_analysis(p: int, variant: str) -> list[OrbitInfo]:
     """Nontrivial orbits of the chosen Gamma-group on V, with stabilizer
-    orders and abelianness computed by direct counting."""
+    orders and abelianness (the stabilizer's generators commute)."""
     gam = gamma_group(p, variant)
     vectors = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)
                if (a, b, c) != (0, 0, 0)]
@@ -222,13 +206,11 @@ def gamma_orbit_analysis(p: int, variant: str) -> list[OrbitInfo]:
     for v in vectors:
         if v in seen:
             continue
-        orbit = _orbit(gam, v)
+        # Gamma acts on V from the left, so v -> g^-1 v is the right action
+        orbit, stab = orbit_stabiliser(gam, v, lambda w, g: mat_vec(g.inverse(), w))
         seen.update(orbit)
-        stab = [g for g in gam.elements if mat_vec(g, v) == v]
-        if len(stab) * len(orbit) != gam.order:
-            raise AssertionError("orbit-stabilizer count failed")
-        abelian = all(x * y == y * x for x in stab for y in stab)
-        orbits.append(OrbitInfo(v, len(orbit), len(stab), abelian))
+        abelian = all(x * y == y * x for x in stab.generators for y in stab.generators)
+        orbits.append(OrbitInfo(v, len(orbit), stab.order, abelian))
     orbits.sort(key=lambda o: (o.size, o.rep))
     return orbits
 
@@ -303,24 +285,11 @@ def table3_expected(p: int) -> dict[tuple[str, str], int]:
     }
 
 
-def character_stabiliser(h: FiniteGroup, a: tuple[int, int, int]) -> FiniteGroup:
-    """The subgroup of the matrix group h fixing the V-character with exponent
-    vector a, closed from the members its growing closure does not yet hold."""
-    members = [x for x in h.elements if vec_mat(a, x) == a]
-    if len(members) == h.order:
-        return h
-    stab = enumerate_group([h.identity])
-    for x in members:
-        if x not in stab:
-            stab = enumerate_group(stab.generators + [x], max_order=len(members))
-    return stab
-
-
 def gamma_stabilizer_of_character(p: int, psi_key: str,
                                   variant: str = "gamma") -> FiniteGroup:
     """Subgroup of Gamma fixing the V-character with exponent vector psi."""
     avec = _psi_vector(psi_key, ConstructionParams.for_prime(p))
-    return character_stabiliser(gamma_group(p, variant), avec)
+    return orbit_stabiliser(gamma_group(p, variant), avec, vec_mat)[1]
 
 
 def induced_value_formula(p: int, psi_key: str, rho_degree: int,

@@ -11,11 +11,11 @@ from typing import NamedTuple
 
 from .chartable import (CharacterTable, ClassFunction, cache_character_table,
                         dixon_character_table)
-from .constructions import (character_stabiliser, is_translation, linear_part, linear_parts,
-                            mat_vec, sylow_inside, translation_part, vec_mat)
+from .constructions import (is_translation, linear_part, linear_parts, mat_vec, sylow_inside,
+                            translation_part, vec_mat)
 from .cyclotomic import Cyclotomic
 from .fusion import FusionData, TableFusion, _finalise, apply_merges, fusion_of_self
-from .groups import FiniteGroup, conjugacy_classes, enumerate_group
+from .groups import FiniteGroup, conjugacy_classes, enumerate_group, orbit_stabiliser
 from .intlinalg import hnf, lattice_index, p_part, transpose
 from .stable import _decompose, stable_character_basis
 from .verify import InductionCertificate, _x_matrix
@@ -99,9 +99,10 @@ def overgroup_context(p: int, which: str) -> OvergroupContext:
 
 def _fusion_by_conjugation(p: int, s: FiniteGroup, h: FiniteGroup,
                            reps: list) -> list[list[int]]:
-    """The S-classes grouped by H-conjugacy.  H's orbits on V are closed under
-    its generators; off V, x (v, g) x^-1 = (xv, xgx^-1) lies in S exactly when
-    x normalises U, which every g != 1 generates."""
+    """The S-classes grouped by H-conjugacy.  H's orbits on V, and the orbits
+    off V of N_H(U), are closed under generators.  Off V, x (v, g) x^-1 =
+    (xv, xgx^-1) lies in S exactly when x normalises U, which every g != 1
+    generates; N_H(U) is the stabiliser of U - {1} under x -> x^-1 . x."""
     sc = conjugacy_classes(s)
     where = {(translation_part(y), linear_part(y).entries): c
              for y, c in zip(s.elements, sc.class_of)}
@@ -109,12 +110,16 @@ def _fusion_by_conjugation(p: int, s: FiniteGroup, h: FiniteGroup,
     pairs = {(where[v, one], where[mat_vec(m, v), one])
              for v in product(range(p), repeat=3) for m in h.generators}
     off_v = [(i, v, g) for i, (v, g, _) in enumerate(reps) if g.entries != one]
-    u_set = {g.entries for _, _, g in off_v}
-    for x in h.elements:
+    u_minus_1 = frozenset(off_v[0][2] ** k for k in range(1, p))
+
+    def conjugate(us, x):
         x_inv = x.inverse()
-        if (x * off_v[0][2] * x_inv).entries in u_set:
-            conj = {g: (x * g * x_inv).entries for g in {g for _, _, g in off_v}}
-            pairs.update((i, where[mat_vec(x, v), conj[g]]) for i, v, g in off_v)
+        return frozenset(x_inv * g * x for g in us)
+    _, normaliser = orbit_stabiliser(h, u_minus_1, conjugate)
+    for x in normaliser.generators:
+        x_inv = x.inverse()
+        conj = {g: (x * g * x_inv).entries for g in u_minus_1}
+        pairs.update((i, where[mat_vec(x, v), conj[g]]) for i, v, g in off_v)
     merges = [(sc.classes[i].rep, sc.classes[j].rep) for i, j in pairs if i != j]
     return [list(fc.s_class_indices) for fc in apply_merges(fusion_of_self(s, p), merges).classes]
 
@@ -132,13 +137,8 @@ def _clifford_restrictions(p: int, h: FiniteGroup, reps: list) -> list[ClassFunc
     for a in product(range(p), repeat=3):
         if a in seen:
             continue
-        orbit: dict[tuple, object] = {}  # b -> some y in H with a y = b
-        for y in h.elements:
-            orbit.setdefault(vec_mat(a, y), y)
+        orbit, stab = orbit_stabiliser(h, a, vec_mat)  # b -> some y in H with a y = b
         seen.update(orbit)
-        stab = character_stabiliser(h, a)
-        if stab.order * len(orbit) != h.order:
-            raise AssertionError("orbit-stabiliser count failed for H_a")
         table = dixon_character_table(stab)
         inverses = {b: y.inverse() for b, y in orbit.items()}
         # for each linear part g: the b that g fixes, with the H_a-class of y g y^-1

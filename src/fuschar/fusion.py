@@ -138,11 +138,6 @@ def apply_merges(base: FusionData, merges: list[tuple]) -> FusionData:
                      sylow=base.sylow_in_overgroup)
 
 
-def fully_centralised_reps(F: FusionData) -> list[tuple]:
-    """Ordered (rep, |C_S(rep)|) pairs, one per fusion class."""
-    return [(c.rep, c.centralizer_order) for c in F.classes]
-
-
 def centralizer_product(F: FusionData) -> int:
     prod = 1
     for c in F.classes:

@@ -421,6 +421,47 @@ def enumerate_group(generators: list, max_order: int | None = None,
                        dict(designated or {}), actions)
 
 
+def orbit_stabiliser(G: FiniteGroup, point, act) -> tuple[dict, FiniteGroup]:
+    """The orbit of `point` under a right action act(x, g) of G, with
+    act(act(x, g), h) == act(x, g * h): the transversal {b: t with
+    act(point, t) == b}, grown breadth-first over G's generators, and the
+    stabiliser, closed from the Schreier generators t_b g t_(b g)^-1 that
+    its closure does not yet hold, until it has |G| / |orbit| elements
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 4).
+    A point fixed by all of G has G itself as its stabiliser."""
+    transversal = {point: G.identity}
+    frontier = [point]
+    while frontier:
+        nxt = []
+        for b in frontier:
+            t = transversal[b]
+            for g in G.generators:
+                c = act(b, g)
+                if c not in transversal:
+                    transversal[c] = t * g
+                    nxt.append(c)
+        frontier = nxt
+    if any(act(point, t) != b for b, t in transversal.items()):
+        raise AssertionError("orbit-stabiliser transversal: act(point, t) is not the "
+                             "orbit point of t, so act is not a right action")
+    if len(transversal) == 1:
+        return transversal, G
+    target = G.order // len(transversal)
+    stab = enumerate_group([G.identity])
+    schreier = (t * g * transversal[act(b, g)].inverse()
+                for b, t in transversal.items() for g in G.generators)
+    for s in schreier:
+        if stab.order >= target:
+            break
+        if act(point, s) != point:
+            raise AssertionError("orbit-stabiliser Schreier generator: it does not fix the point")
+        if s not in stab:  # the closure lies in G, so G's order caps it
+            stab = enumerate_group(stab.generators + [s], max_order=G.order)
+    if stab.order * len(transversal) != G.order:
+        raise AssertionError("orbit-stabiliser count: |orbit| * |stabiliser| != |G|")
+    return transversal, stab
+
+
 class ConjClass(NamedTuple):
     rep: object
     size: int

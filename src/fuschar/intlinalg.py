@@ -336,23 +336,3 @@ def lattice_index(ambient: list[list[int]], sub: list[list[int]]) -> int:
     if prod != abs(d):
         raise AssertionError("Smith divisors disagree with determinant")
     return prod
-
-
-def lattice_volume_index(l_basis: list[list[int]], m_basis: list[list[int]]) -> tuple[int, int, int]:
-    """(vol L, vol M, index |L:M|) for square full-rank bases with M <= L.
-
-    The index is computed from Smith elementary divisors of the
-    change-of-basis matrix; with vol = |det basis| the orientation that
-    holds is index = vol(M) / vol(L).
-    """
-    n = len(l_basis)
-    if n == 0 or len(l_basis[0]) != n or len(m_basis) != n or len(m_basis[0]) != n:
-        raise ValueError("volume/index requires square bases of equal rank")
-    vol_l = abs(det_exact(l_basis))
-    vol_m = abs(det_exact(m_basis))
-    if vol_l == 0 or vol_m == 0:
-        raise ValueError("bases must be full rank")
-    index = lattice_index(l_basis, m_basis)
-    if index * vol_l != vol_m:
-        raise AssertionError("index must equal vol(M)/vol(L)")
-    return vol_l, vol_m, index

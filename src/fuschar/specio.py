@@ -114,10 +114,10 @@ def group_from_spec(spec: dict) -> FiniteGroup:
 def fusion_from_spec(spec: dict):
     """A FusionData (mode "group") or TableFusion (mode "table")."""
     mode = spec.get("mode", "group")
-    if mode == "table":
+    if mode == "table":  # a missing field raises KeyError, named as in group mode
         try:
             return TableFusion.from_json(spec["table"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise SpecError(f"bad table-mode fusion spec: {exc}") from exc
     if mode != "group":
         raise SpecError(f"unknown fusion mode {mode!r}")

@@ -261,8 +261,3 @@ def indecomposables_bounded(lattice: StableLattice, degree_bound: int,
         if not decomposable:
             ind.append(chi)
     return ind, complete
-
-
-def factoriality_check(lattice: StableLattice, indecomposables: list) -> bool:
-    """|Ind| = k(F) means unique decomposition (up to the search bound)."""
-    return len(indecomposables) == lattice.fusion.k

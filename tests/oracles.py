@@ -3,7 +3,7 @@ helpers that only the tests use.  No verdict path, CLI command or demo
 reaches any of them."""
 
 import json
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 from fuschar.chartable import (
@@ -16,7 +16,6 @@ from fuschar.chartable import (
 )
 from fuschar.constructions import (
     ConstructionParams,
-    _orbit,
     _psi_vector,
     _v_vector,
     affine,
@@ -24,12 +23,14 @@ from fuschar.constructions import (
     gamma_stabilizer_of_character,
     is_translation,
     linear_part,
+    mat_vec,
     translation,
     translation_part,
+    vec_mat,
 )
 from fuschar.cyclotomic import Cyclotomic, cyclo_dot
 from fuschar.exotic import OvergroupContext, RestrictionRow
-from fuschar.fusion import apply_merges, fusion_from_group
+from fuschar.fusion import apply_merges, fusion_from_group, fusion_of_self
 from fuschar.groups import conjugacy_classes, enumerate_group
 from fuschar.intlinalg import HNFResult, _row_sub, det_exact, identity_matrix, mat_mul
 from fuschar.stable import restriction_coordinates
@@ -45,9 +46,91 @@ def full_merge(base):
 def orbit_containing(orbits, gam, target):
     """The orbit record of `gamma_orbit_analysis` whose orbit holds target."""
     for info in orbits:
-        if target in _orbit(gam, info.rep):
+        if target in orbit_by_scan(gam, info.rep, lambda v, g: mat_vec(g, v)):
             return info
     raise ValueError(f"{target} lies in no computed orbit")
+
+
+def orbit_by_scan(G, point, act):
+    """The orbit of point as act(point, x) over every element x of G: the
+    oracle for the breadth-first transversal of `groups.orbit_stabiliser`."""
+    return {act(point, x) for x in G.elements}
+
+
+def stabiliser_by_scan(G, point, act):
+    """The members x of G with act(point, x) == point, found by testing each:
+    the oracle for the stabiliser closed from Schreier generators."""
+    return [x for x in G.elements if act(point, x) == point]
+
+
+def _stabiliser_closure_by_scan(h, a):
+    """H_a as a group, closed from the scanned members its growing closure
+    does not yet hold."""
+    members = stabiliser_by_scan(h, a, vec_mat)
+    if len(members) == h.order:
+        return h
+    stab = enumerate_group([h.identity])
+    for x in members:
+        if x not in stab:
+            stab = enumerate_group(stab.generators + [x], max_order=len(members))
+    return stab
+
+
+def fusion_by_conjugation_by_scan(p, s, h, reps):
+    """`exotic._fusion_by_conjugation` with N_H(U) found by testing every
+    element x of H for x u x^-1 in U, each such x merging the off-V classes."""
+    sc = conjugacy_classes(s)
+    where = {(translation_part(y), linear_part(y).entries): c
+             for y, c in zip(s.elements, sc.class_of)}
+    one = h.identity.entries
+    pairs = {(where[v, one], where[mat_vec(m, v), one])
+             for v in product(range(p), repeat=3) for m in h.generators}
+    off_v = [(i, v, g) for i, (v, g, _) in enumerate(reps) if g.entries != one]
+    u_set = {g.entries for _, _, g in off_v}
+    for x in h.elements:
+        x_inv = x.inverse()
+        if (x * off_v[0][2] * x_inv).entries in u_set:
+            conj = {g: (x * g * x_inv).entries for g in {g for _, _, g in off_v}}
+            pairs.update((i, where[mat_vec(x, v), conj[g]]) for i, v, g in off_v)
+    merges = [(sc.classes[i].rep, sc.classes[j].rep) for i, j in pairs if i != j]
+    return [list(fc.s_class_indices) for fc in apply_merges(fusion_of_self(s, p), merges).classes]
+
+
+def clifford_restrictions_by_scan(p, h, reps):
+    """`exotic._clifford_restrictions` with each H-orbit on Irr(V), its
+    transversal and H_a found by scanning every element of H."""
+    linear = {g for _, g, _ in reps}
+    seen = set()
+    out = []
+    for a in product(range(p), repeat=3):
+        if a in seen:
+            continue
+        orbit = {}  # b -> the first y in H with a y = b
+        for y in h.elements:
+            orbit.setdefault(vec_mat(a, y), y)
+        seen.update(orbit)
+        stab = _stabiliser_closure_by_scan(h, a)
+        assert stab.order * len(orbit) == h.order
+        table = dixon_character_table(stab)
+        fixed = {g: [(b, table.classes.class_index_of(stab, y * g * y.inverse()))
+                     for b, y in orbit.items() if vec_mat(b, g) == b]
+                 for g in linear}
+        counts = []
+        for v, g, _ in reps:
+            cnt = {}
+            for b, c in fixed[g]:
+                key = (sum(x * y for x, y in zip(b, v)) % p, c)
+                cnt[key] = cnt.get(key, 0) + 1
+            counts.append(cnt)
+        for psi in table.chars:
+            values = []
+            for (_, _, o), cnt in zip(reps, counts):
+                value = Cyclotomic.zero()
+                for (t, c), mult in cnt.items():
+                    value = value + Cyclotomic.root_of_unity(p, t) * psi.values[c] * mult
+                values.append(value)
+            out.append(ClassFunction(tuple(values)))
+    return out
 
 
 def overgroup_context_by_enumeration(p, which):

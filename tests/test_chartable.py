@@ -15,7 +15,6 @@ from fuschar.chartable import (
     inner_product,
     regular_character,
     restrict_table,
-    trivial_character,
 )
 from fuschar.constructions import build_group, sylow_inside
 from fuschar.cyclotomic import Cyclotomic
@@ -226,7 +225,7 @@ def test_induce_trivial_from_trivial_subgroup_gives_regular():
     # the trivial subgroup embeds via the identity permutation degree mismatch;
     # use the subgroup generated by the identity element of g instead
     triv_sub = enumerate_group([g.identity], max_order=6)
-    theta = trivial_character(conjugacy_classes(triv_sub))
+    theta = ClassFunction((Cyclotomic.one(),) * len(conjugacy_classes(triv_sub).classes))
     induced = induce_class_function(theta, triv_sub, g)
     reg = regular_character(conjugacy_classes(g), g.order)
     assert induced.values == reg.values

@@ -9,7 +9,6 @@ from fuschar.fusion import (
     TableFusion,
     apply_merges,
     centralizer_product,
-    fully_centralised_reps,
     fusion_from_group,
     fusion_of_self,
 )
@@ -67,8 +66,7 @@ def test_full_merge_transitive_shape():
     es = standard_group("ES7")
     f = full_merge(fusion_of_self(es, 7))
     assert f.k == 2
-    reps = fully_centralised_reps(f)
-    assert reps[0][1] == 343 and reps[1][1] == 343
+    assert [c.centralizer_order for c in f.classes] == [343, 343]
     assert centralizer_product(f) == 7 ** 6
     # the representative of the merged class is fully centralised (central)
     assert f.classes[1].rep_order == 7

@@ -11,7 +11,8 @@ import pytest
 
 import fuschar.groups
 from fuschar.chartable import dixon_character_table
-from fuschar.constructions import build_group
+from fuschar.constructions import (GAMMA_VARIANTS, build_group, gamma_group, linear_parts,
+                                   mat_vec, u_linear, vec_mat)
 from fuschar.groups import (
     FpMat,
     Perm,
@@ -24,6 +25,7 @@ from fuschar.groups import (
     enumerate_group,
     gl2_3,
     heisenberg_group,
+    orbit_stabiliser,
     standard_group,
     subgroup,
     sylow_subgroup,
@@ -31,6 +33,8 @@ from fuschar.groups import (
 )
 from fuschar.intlinalg import p_part
 from fuschar.specio import fusion_from_spec, table_to_json
+
+from oracles import orbit_by_scan, stabiliser_by_scan
 
 
 def test_enumerate_cyclic_and_trivial():
@@ -494,3 +498,61 @@ def test_the_direct_centralizer_count_catches_a_missing_conjugation(monkeypatch)
         with pytest.raises(AssertionError, match="failed direct count"):
             conjugacy_classes(g)
         assert g._classes is None
+
+
+# -- orbit_stabiliser on the actions of the p^4 family ---------------------------
+
+
+def _check_every_orbit(G, points, act):
+    """orbit_stabiliser from the first point of each orbit, against the scans
+    of every element of G."""
+    seen = set()
+    for point in points:
+        if point in seen:
+            continue
+        transversal, stab = orbit_stabiliser(G, point, act)
+        assert set(transversal) == orbit_by_scan(G, point, act)
+        assert all(t in G and act(point, t) == b for b, t in transversal.items())
+        assert len(transversal) * stab.order == G.order
+        assert stab.is_subgroup_of(G)
+        assert set(stab.elements) == set(stabiliser_by_scan(G, point, act))
+        seen.update(transversal)
+
+
+def _conjugate_set(us, x):  # the right action x -> x^-1 . x on sets of elements
+    x_inv = x.inverse()
+    return frozenset(x_inv * g * x for g in us)
+
+
+@pytest.mark.parametrize("p, which", [
+    (p, which) for p in (3, 5, 7) for which in ("N_b", "N_gamma", "N_gamma2", "N_gamma4star")
+    if which != "N_gamma4star" or p % 4 == 1])
+def test_orbit_stabiliser_of_h_on_irr_v_and_on_u(p, which):
+    """H on the characters of V (a -> a h, as in the Clifford rows) and on
+    U - {1} by conjugation (N_H(U), as in the fusion)."""
+    h = linear_parts(p, which)
+    _check_every_orbit(h, product(range(p), repeat=3), vec_mat)
+    _check_every_orbit(h, [frozenset(u_linear(p) ** k for k in range(1, p))], _conjugate_set)
+
+
+@pytest.mark.parametrize("p, variant", [
+    (p, variant) for p in (3, 5, 7) for variant in GAMMA_VARIANTS
+    if variant != "gamma4star" or p % 4 == 1])
+def test_orbit_stabiliser_of_gamma_on_v(p, variant):
+    # Gamma acts on V from the left, so v -> g^-1 v is the right action
+    _check_every_orbit(gamma_group(p, variant), product(range(p), repeat=3),
+                       lambda v, g: mat_vec(g.inverse(), v))
+
+
+def test_orbit_stabiliser_of_a_permutation_group():
+    # (a * b)(x) = a(b(x)), so x -> g^-1(x) is the right action on points
+    _check_every_orbit(symmetric_group(4), range(4), lambda x, g: g.inverse().images[x])
+    _check_every_orbit(dihedral_group(12), range(6), lambda x, g: g.inverse().images[x])
+
+
+def test_orbit_stabiliser_refuses_a_map_that_is_not_a_right_action():
+    """v -> g v is a left action of the non-abelian Gamma: the routine's own
+    transversal check names it, before any closure could reach a cap."""
+    gam = gamma_group(5, "gamma")
+    with pytest.raises(AssertionError, match="orbit-stabiliser transversal"):
+        orbit_stabiliser(gam, (0, 1, 0), lambda v, g: mat_vec(g, v))

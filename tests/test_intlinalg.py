@@ -10,7 +10,6 @@ from fuschar.intlinalg import (
     hnf,
     kernel_rows,
     lattice_index,
-    lattice_volume_index,
     mat_mul,
     p_part,
     p_valuation,
@@ -182,17 +181,18 @@ def brute_force_index(m_basis, box=8):
 
 
 def test_lattice_volume_index_examples():
-    assert lattice_volume_index([[1, 0], [0, 1]], [[2, 0], [0, 2]]) == (1, 4, 4)
-    assert lattice_volume_index([[3, 1], [0, 2]], [[3, 1], [0, 2]])[2] == 1
+    # the index of M in L is vol(M) / vol(L), with vol = |det basis|
+    assert lattice_index([[1, 0], [0, 1]], [[2, 0], [0, 2]]) == 4
+    assert lattice_index([[3, 1], [0, 2]], [[3, 1], [0, 2]]) == 1
+    sub = [[6, 2], [3, 5]]  # 2 (3, 1) and (3, 1) + 2 (0, 2)
+    assert lattice_index([[3, 1], [0, 2]], sub) == 4 == abs(det_exact(sub)) // 6
     m = [[1, 1], [0, 3]]
-    vol_l, vol_m, index = lattice_volume_index([[1, 0], [0, 1]], m)
-    assert index == 3 == brute_force_index(m)
-    assert vol_m == 3 and vol_l == 1
+    assert lattice_index([[1, 0], [0, 1]], m) == 3 == brute_force_index(m) == det_exact(m)
 
 
 def test_lattice_errors():
     with pytest.raises(ValueError):
-        lattice_volume_index([[1, 0], [0, 1]], [[1, 0], [2, 0]])  # rank deficient
+        lattice_index([[1, 0], [0, 1]], [[1, 0], [2, 0]])  # rank deficient
     with pytest.raises(ValueError):
         lattice_index([[2, 0], [0, 2]], [[1, 0], [0, 1]])  # not contained
 

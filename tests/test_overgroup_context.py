@@ -7,10 +7,13 @@ import fuschar.chartable
 import fuschar.constructions
 import fuschar.exotic
 import fuschar.groups
-from fuschar.constructions import gamma_group, linear_parts, sylow_inside
-from fuschar.exotic import overgroup_context
+from fuschar.constructions import (gamma_group, linear_part, linear_parts, sylow_inside,
+                                   translation_part)
+from fuschar.exotic import _clifford_restrictions, _fusion_by_conjugation, overgroup_context
+from fuschar.groups import conjugacy_classes
 
-from oracles import overgroup_context_by_enumeration
+from oracles import (clifford_restrictions_by_scan, fusion_by_conjugation_by_scan,
+                     overgroup_context_by_enumeration)
 
 CASES = [(3, "N_b"), (3, "N_gamma"), (3, "N_gamma2"),
          (5, "N_b"), (5, "N_gamma"), (5, "N_gamma2"), (5, "N_gamma4star")]
@@ -40,6 +43,24 @@ def test_context_equals_the_enumerated_oracle(p, which):
     assert [(r.coords, r.degree, _values(r.values), r.n_preimages) for r in ctx.rows] == \
         [(r.coords, r.degree, _values(r.values), r.n_preimages) for r in oracle.rows]
     assert ctx.u_class_indices == oracle.u_class_indices
+
+
+@pytest.mark.parametrize("which", ["N_b", "N_gamma", "N_gamma2"])
+def test_fusion_and_clifford_rows_equal_the_scans_of_h_at_p7(which):
+    """N_H(U) from Schreier generators and the H-orbits on Irr(V) with their
+    stabilisers give the fusion and the rows that scanning every element of
+    H gives."""
+    p = 7
+    ctx = overgroup_context(p, which)
+    s, h = ctx.S, ctx.N.H
+    reps = [(translation_part(c.rep), linear_part(c.rep), c.rep_order)
+            for c in conjugacy_classes(s).classes]
+    fusion = _fusion_by_conjugation(p, s, h, reps)
+    assert fusion == fusion_by_conjugation_by_scan(p, s, h, reps)
+    assert fusion == [list(fc.s_class_indices) for fc in ctx.base.classes]
+    rows = _clifford_restrictions(p, h, reps)
+    assert [chi.values for chi in rows] == \
+        [chi.values for chi in clifford_restrictions_by_scan(p, h, reps)]
 
 
 def test_no_closure_is_larger_than_s_or_h(monkeypatch):

@@ -307,6 +307,16 @@ def test_cli_spec_boundary_errors_exit_2(tmp_path, capsys):
     no_p.write_text(json.dumps({"group": C8_SPEC, "mode": "group"}))
     assert main(["verify-fusion", "-f", str(no_p)]) == 2
     assert "missing field 'p'" in capsys.readouterr().err
+    # table mode names a missing field as group mode does
+    from fuschar.exotic import table_3492
+    table = table_3492().to_json()
+    del table["group_order"]
+    for missing, spec in (("group_order", {"mode": "table", "table": table}),
+                          ("table", {"mode": "table"})):
+        no_field = tmp_path / f"no_{missing}.json"
+        no_field.write_text(json.dumps(spec))
+        assert main(["verify-fusion", "-f", str(no_field)]) == 2
+        assert capsys.readouterr().err == f"error: {no_field}: missing field '{missing}'\n"
     not_object = tmp_path / "list.json"
     not_object.write_text("[1, 2]")
     assert main(["verify-group", "-g", str(not_object), "-p", "2"]) == 2
