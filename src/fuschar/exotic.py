@@ -191,6 +191,107 @@ def pick_unique(ctx: OvergroupContext, **kw) -> RestrictionRow:
     return rows[0]
 
 
+# -- the paper's Tables 1, 2 and 4 ----------------------------------------------
+
+
+def table1_families(p: int) -> list[dict]:
+    """(degree, value at u, value at z, #characters, #restrictions) per family."""
+    fams = [
+        {"name": "linear", "degree": 1, "u": 1, "z": 1,
+         "chars": p - 1, "restrictions": 1},
+        {"name": "chi_ij", "degree": p - 1, "u": -1, "z": p - 1,
+         "chars": p, "restrictions": p},
+        {"name": "chi_ijk", "degree": p * (p - 1), "u": 0, "z": -p,
+         "chars": p, "restrictions": p},
+        {"name": "chi_0s0", "degree": p * (p - 1) // 2, "u": 0,
+         "z": p * (p - 1) // 2, "chars": 4, "restrictions": 2},
+    ]
+    if p % 3 == 1:
+        fams.append({"name": "chi_0s_t", "degree": (p - 1) // 3, "u": (p - 1) // 3,
+                     "z": (p - 1) // 3, "chars": 9, "restrictions": 3})
+    else:
+        fams.append({"name": "chi_01", "degree": p - 1, "u": p - 1, "z": p - 1,
+                     "chars": 1, "restrictions": 1})
+    return fams
+
+
+def table1_rows(ctx: OvergroupContext) -> dict[str, list[RestrictionRow]]:
+    """The restriction rows of S:<b> in each Table 1 family, by family name."""
+    uc = ctx.class_of(ctx.S.designated["u"])
+    zc = ctx.class_of(ctx.z_element())
+    return {fam["name"]: pick_rows(ctx, degree=fam["degree"], at={uc: fam["u"], zc: fam["z"]})
+            for fam in table1_families(ctx.p)}
+
+
+def table2_rows(p: int) -> list[dict]:
+    """Expected values at (1, v1, v2, v1+eps*v3, u, u') as integers."""
+    half = (p - 1) // 2
+    return [
+        {"name": "1_S", "vals": (1, 1, 1, 1, 1, 1), "basis": True},
+        {"name": "theta_{p-1}", "vals": (p - 1, p - 1, p - 1, p - 1, -1, -1),
+         "basis": True},
+        {"name": "chi(psi100)", "vals": (p * p - 1, -1, p - 1, -(p + 1), p - 1, -1),
+         "basis": True},
+        {"name": "chi(psi100,rho)", "basis": True,
+         "vals": ((p * p - 1) * (p - 1), -(p - 1), (p - 1) ** 2, -(p * p - 1),
+                  -(p - 1), 1)},
+        {"name": "chi(psi10e)", "basis": True,
+         "vals": (p * (p - 1) ** 2 // 2, -p * half, 0, p, 0, 0)},
+        {"name": "chi(psi010)", "basis": True,
+         "vals": (p * (p * p - 1) // 2, p * half, -p, 0, 0, 0)},
+        {"name": "theta_p", "vals": (p, p, p, p, 0, 0), "basis": False},
+        {"name": "theta_{p+1}", "vals": (p + 1, p + 1, p + 1, p + 1, 1, 1),
+         "basis": False},
+        {"name": "chi(psi10e,rho2)", "basis": False,
+         "vals": (p * (p - 1) ** 2, -p * (p - 1), 0, 2 * p, 0, 0)},
+        {"name": "chi(psi010,rho2)", "basis": False,
+         "vals": (p * (p * p - 1), p * (p - 1), -2 * p, 0, 0, 0)},
+    ]
+
+
+def _gamma_column_classes(ctx: OvergroupContext) -> list[int]:
+    """Fusion classes of (1, v1, v2, v1+eps*v3, u, other u-type)."""
+    s = ctx.S
+    cols = [ctx.class_of(s.identity), ctx.class_of(s.designated["v1"]),
+            ctx.class_of(s.designated["v2"]),
+            ctx.class_of(s.designated["v1+e*v3"]),
+            ctx.class_of(s.designated["u"])]
+    other_u = [i for i in ctx.u_class_indices if i != cols[4]]
+    if len(other_u) != 1:
+        raise LookupError("expected exactly two off-V fusion classes")
+    return cols + other_u
+
+
+def table2_basis(ctx: OvergroupContext) -> dict[str, RestrictionRow]:
+    """The six basis restrictions of V:Gamma in Table 2, by row name."""
+    cols = _gamma_column_classes(ctx)
+    return {r["name"]: pick_unique(ctx, degree=r["vals"][0], at=dict(zip(cols, r["vals"])))
+            for r in table2_rows(ctx.p) if r["basis"]}
+
+
+def table4_rows(p: int) -> list[dict]:
+    """The merged-system basis: multiplicities over the table2 basis rows and
+    the claimed (degree, common value at v1 and u)."""
+    half = (p - 1) // 2
+    return [
+        {"combo": {"1_S": 1}, "degree": 1, "val": 1},
+        {"combo": {"chi(psi100,rho)": 1}, "degree": (p * p - 1) * (p - 1),
+         "val": -(p - 1)},
+        {"combo": {"chi(psi010)": 1, "chi(psi10e)": 1}, "degree": p * p * (p - 1),
+         "val": 0},
+        {"combo": {"theta_{p-1}": 1, "chi(psi100)": 1},
+         "degree": (p - 1) * (p + 2), "val": p - 2},
+        {"combo": {"chi(psi100)": half, "chi(psi010)": 1},
+         "degree": (p * p - 1) * (2 * p - 1) // 2, "val": half * (p - 1)},
+    ]
+
+
+def table4_basis(basis: dict[str, RestrictionRow], p: int) -> list[list[int]]:
+    """The rows of Table 4 in Irr(S) coordinates, from Table 2's `basis`."""
+    return [_combo([(mult, basis[name]) for name, mult in spec["combo"].items()])
+            for spec in table4_rows(p)]
+
+
 # -- merge descriptions for the named systems ----------------------------------
 
 
@@ -228,33 +329,16 @@ def _combo(terms: list[tuple[int, RestrictionRow]]) -> list[int]:
 
 
 def certificate_f1(p: int) -> InductionCertificate:
-    """Certificate for the merge on V:Gamma, with the printed basis rows."""
+    """Certificate for the merge on V:Gamma: b_n the basis rows of Table 2,
+    b_f the rows of Table 4, eta the inflation theta_{p-1}."""
     ctx = overgroup_context(p, "N_gamma")
     z = ctx.z_element()
     u = ctx.S.designated["u"]
-    zc, uc = ctx.class_of(z), ctx.class_of(u)
-    v1c = ctx.class_of(ctx.S.designated["v1"])
-    one = pick_unique(ctx, degree=1)
-    theta = pick_unique(ctx, degree=p - 1, at={uc: -1})
-    chi_x2 = pick_unique(ctx, degree=p * p - 1, at={v1c: -1, uc: p - 1})
-    chi_x2_rho = pick_unique(ctx, degree=(p * p - 1) * (p - 1),
-                             at={v1c: -(p - 1), uc: -(p - 1)})
-    chi_quad = pick_unique(ctx, degree=p * (p - 1) ** 2 // 2,
-                           at={v1c: -p * (p - 1) // 2})
-    chi_sep = pick_unique(ctx, degree=p * (p * p - 1) // 2,
-                          at={v1c: p * (p - 1) // 2})
-    b_n = [one, theta, chi_x2, chi_x2_rho, chi_quad, chi_sep]
-    b_f = [
-        _combo([(1, one)]),
-        _combo([(1, chi_x2_rho)]),
-        _combo([(1, chi_sep), (1, chi_quad)]),
-        _combo([(1, theta), (1, chi_x2)]),
-        _combo([((p - 1) // 2, chi_x2), (1, chi_sep)]),
-    ]
-    target = apply_merges(ctx.base, [(z, u)])
+    basis = table2_basis(ctx)
     return InductionCertificate(
-        label=f"F1@p={p}", base=ctx.base, target=target,
-        b_n=[list(r.coords) for r in b_n], b_f=b_f, eta=1, z=z, u=u)
+        label=f"F1@p={p}", base=ctx.base, target=apply_merges(ctx.base, [(z, u)]),
+        b_n=[list(r.coords) for r in basis.values()], b_f=table4_basis(basis, p),
+        eta=list(basis).index("theta_{p-1}"), z=z, u=u)
 
 
 def corrupted_certificate_f1(p: int) -> InductionCertificate:
@@ -301,23 +385,23 @@ def auto_step_certificate(ctx: OvergroupContext, base_fusion: FusionData,
 
 
 def certificate_g(p: int) -> InductionCertificate:
-    """Certificate for the merge on S:<b>, with the printed combination basis."""
+    """Certificate for the merge on S:<b>: b_n the restrictions of Table 1's
+    families, with the printed combination basis."""
     ctx = overgroup_context(p, "N_b")
     z = ctx.z_element()
     u = ctx.S.designated["u"]
-    zc, uc = ctx.class_of(z), ctx.class_of(u)
-    lin = pick_unique(ctx, degree=1)
-    chi_ij = pick_rows(ctx, degree=p - 1, at={uc: -1, zc: p - 1})
-    chi_01 = pick_rows(ctx, degree=p - 1, at={uc: p - 1, zc: p - 1})
-    chi_ijk = pick_rows(ctx, degree=p * (p - 1), at={zc: -p})
-    chi_0s0 = pick_rows(ctx, degree=p * (p - 1) // 2, at={zc: p * (p - 1) // 2})
-    expected = 1 + len(chi_ij) + len(chi_01) + len(chi_ijk) + len(chi_0s0)
-    if expected != ctx.base.k:
-        raise LookupError("restriction families do not exhaust the base classes")
-    b_n = [lin] + chi_ij + chi_01 + chi_ijk + chi_0s0
+    fams = table1_rows(ctx)
+    if "chi_01" not in fams:
+        raise LookupError(f"the printed G_prune basis needs Table 1's chi_01 family, which "
+                          f"exists only for p != 1 (mod 3), not p = {p}")
+    lin, chi_ij, chi_01, chi_ijk, chi_0s0 = (
+        fams[name] for name in ("linear", "chi_ij", "chi_01", "chi_ijk", "chi_0s0"))
+    b_n = lin + chi_ij + chi_01 + chi_ijk + chi_0s0
+    if len(b_n) != ctx.base.k:
+        raise LookupError("Table 1's families do not exhaust the base classes")
     eta_row = chi_ijk[0]  # a degree p(p-1) induced character
     chi2 = chi_ij[0]
-    b_f = [_combo([(1, lin)])]
+    b_f = [_combo([(1, r)]) for r in lin]
     b_f += [_combo([(1, r), (1, eta_row)]) for r in chi_ij if r is not chi2]
     b_f += [_combo([(1, r), (1, chi2)]) for r in chi_ijk if r is not eta_row]
     b_f.append(_combo([(1, eta_row), (1, chi2)]))
@@ -446,7 +530,6 @@ def table_3492() -> TableFusion:
     centralizer orders are forced by column orthogonality and the index-2
     Clifford multiplicities (2 for extended rows, 1 for induced rows).
     """
-    one = Cyclotomic.one()
     w = Cyclotomic.root_of_unity(3)
     wb = w.conjugate()
     z9 = Cyclotomic.root_of_unity(9)
@@ -492,7 +575,7 @@ def cubic_root_check() -> dict:
     gamma = tf.basis_values[7][9]
     out = {}
     for name, v in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-        out[name] = (v * v * v - v * 9 - 9).is_zero() and (v * v * v - v * 9 - 9) == 0
+        out[name] = (v * v * v - v * 9 - 9).is_zero()
     out["sum_zero"] = (alpha + beta + gamma).is_zero()
     out["product_nine"] = (alpha * beta * gamma) == 9
     out["pair_sum"] = (alpha * beta + alpha * gamma + beta * gamma) == -9

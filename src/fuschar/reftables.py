@@ -23,10 +23,18 @@ from .exotic import (
     TABLE_3492_IRR_MULTIPLICITIES,
     OvergroupContext,
     _combo,
+    _gamma_column_classes,
+    _row_value_int,
     cubic_root_check,
     overgroup_context,
     pick_rows,
     pick_unique,
+    table1_families,
+    table1_rows,
+    table2_basis,
+    table2_rows,
+    table4_basis,
+    table4_rows,
     table_3492,
 )
 from .fusion import apply_merges, fusion_of_self
@@ -59,28 +67,7 @@ class MatchReport:
                 "discrepancies": self.discrepancies, "notes": self.notes}
 
 
-# -- Table 1: restrictions from S:<b> -------------------------------------------
-
-
-def table1_families(p: int) -> list[dict]:
-    """(degree, value at u, value at z, #characters, #restrictions) per family."""
-    fams = [
-        {"name": "linear", "degree": 1, "u": 1, "z": 1,
-         "chars": p - 1, "restrictions": 1},
-        {"name": "chi_ij", "degree": p - 1, "u": -1, "z": p - 1,
-         "chars": p, "restrictions": p},
-        {"name": "chi_ijk", "degree": p * (p - 1), "u": 0, "z": -p,
-         "chars": p, "restrictions": p},
-        {"name": "chi_0s0", "degree": p * (p - 1) // 2, "u": 0,
-         "z": p * (p - 1) // 2, "chars": 4, "restrictions": 2},
-    ]
-    if p % 3 == 1:
-        fams.append({"name": "chi_0s_t", "degree": (p - 1) // 3, "u": (p - 1) // 3,
-                     "z": (p - 1) // 3, "chars": 9, "restrictions": 3})
-    else:
-        fams.append({"name": "chi_01", "degree": p - 1, "u": p - 1, "z": p - 1,
-                     "chars": 1, "restrictions": 1})
-    return fams
+# -- Tables 1, 2 and 4, whose printed data `exotic` holds -------------------------
 
 
 def reproduce_table1(p: int) -> MatchReport:
@@ -88,12 +75,10 @@ def reproduce_table1(p: int) -> MatchReport:
     if p < 5:
         report.notes["admissible"] = "stated for p >= 5"
     ctx = overgroup_context(p, "N_b")
-    uc = ctx.class_of(ctx.S.designated["u"])
-    zc = ctx.class_of(ctx.z_element())
-    fams = table1_families(p)
+    found = table1_rows(ctx)
     claimed = set()
-    for fam in fams:
-        rows = pick_rows(ctx, degree=fam["degree"], at={uc: fam["u"], zc: fam["z"]})
+    for fam in table1_families(p):
+        rows = found[fam["name"]]
         n_chars = sum(r.n_preimages for r in rows)
         report.check(f"{fam['name']}:restrictions", len(rows) == fam["restrictions"],
                      f"found {len(rows)}, expected {fam['restrictions']}")
@@ -107,48 +92,6 @@ def reproduce_table1(p: int) -> MatchReport:
     return report
 
 
-# -- Table 2 / Table 4: restrictions from V:Gamma and the merged basis -----------
-
-
-def table2_rows(p: int) -> list[dict]:
-    """Expected values at (1, v1, v2, v1+eps*v3, u, u') as integers."""
-    half = (p - 1) // 2
-    return [
-        {"name": "1_S", "vals": (1, 1, 1, 1, 1, 1), "basis": True},
-        {"name": "theta_{p-1}", "vals": (p - 1, p - 1, p - 1, p - 1, -1, -1),
-         "basis": True},
-        {"name": "chi(psi100)", "vals": (p * p - 1, -1, p - 1, -(p + 1), p - 1, -1),
-         "basis": True},
-        {"name": "chi(psi100,rho)", "basis": True,
-         "vals": ((p * p - 1) * (p - 1), -(p - 1), (p - 1) ** 2, -(p * p - 1),
-                  -(p - 1), 1)},
-        {"name": "chi(psi10e)", "basis": True,
-         "vals": (p * (p - 1) ** 2 // 2, -p * half, 0, p, 0, 0)},
-        {"name": "chi(psi010)", "basis": True,
-         "vals": (p * (p * p - 1) // 2, p * half, -p, 0, 0, 0)},
-        {"name": "theta_p", "vals": (p, p, p, p, 0, 0), "basis": False},
-        {"name": "theta_{p+1}", "vals": (p + 1, p + 1, p + 1, p + 1, 1, 1),
-         "basis": False},
-        {"name": "chi(psi10e,rho2)", "basis": False,
-         "vals": (p * (p - 1) ** 2, -p * (p - 1), 0, 2 * p, 0, 0)},
-        {"name": "chi(psi010,rho2)", "basis": False,
-         "vals": (p * (p * p - 1), p * (p - 1), -2 * p, 0, 0, 0)},
-    ]
-
-
-def _gamma_column_classes(ctx: OvergroupContext) -> list[int]:
-    """Fusion classes of (1, v1, v2, v1+eps*v3, u, other u-type)."""
-    s = ctx.S
-    cols = [ctx.class_of(s.identity), ctx.class_of(s.designated["v1"]),
-            ctx.class_of(s.designated["v2"]),
-            ctx.class_of(s.designated["v1+e*v3"]),
-            ctx.class_of(s.designated["u"])]
-    other_u = [i for i in ctx.u_class_indices if i != cols[4]]
-    if len(other_u) != 1:
-        raise LookupError("expected exactly two off-V fusion classes")
-    return cols + other_u
-
-
 def reproduce_table2(p: int) -> MatchReport:
     report = MatchReport(f"table2@p={p}")
     ctx = overgroup_context(p, "N_gamma")
@@ -157,8 +100,7 @@ def reproduce_table2(p: int) -> MatchReport:
     by_vals = {tuple(r["vals"]): r for r in expected}
     realized = set()
     for row in ctx.rows:
-        vals = tuple(v.rational_value() if v.is_rational_integer() else None
-                     for v in (row.values[c] for c in cols))
+        vals = tuple(_row_value_int(row, c) for c in cols)
         match = by_vals.get(vals)
         if match is None:
             report.check("computed_row_in_table", False,
@@ -170,7 +112,7 @@ def reproduce_table2(p: int) -> MatchReport:
             report.check(f"{r['name']}_realized", r["name"] in realized)
     report.check("k_base_is_6", ctx.base.k == 6, f"k = {ctx.base.k}")
     # the six basis rows must span the stable lattice of the base fusion
-    basis = _table2_basis(ctx, cols, p)
+    basis = table2_basis(ctx)
     lattice = stable_character_basis(ctx.irr_s, ctx.base)
     idx = lattice_index(lattice.basis, [list(r.coords) for r in basis.values()])
     report.check("basis_spans_stable_lattice", idx == 1, f"index {idx}")
@@ -197,50 +139,20 @@ def _off_v_class_notes(ctx: OvergroupContext) -> dict:
     return notes
 
 
-def _table2_pick(ctx, cols, row_spec):
-    return pick_unique(ctx, degree=row_spec["vals"][0],
-                       at={c: v for c, v in zip(cols, row_spec["vals"])})
-
-
-def _table2_basis(ctx: OvergroupContext, cols: list[int], p: int) -> dict:
-    """The six basis restrictions of Table 2, by row name."""
-    return {r["name"]: _table2_pick(ctx, cols, r)
-            for r in table2_rows(p) if r["basis"]}
-
-
-def table4_rows(p: int) -> list[dict]:
-    """The merged-system basis: multiplicities over the table2 basis rows and
-    the claimed (degree, common value at v1 and u)."""
-    half = (p - 1) // 2
-    return [
-        {"combo": {"1_S": 1}, "degree": 1, "val": 1},
-        {"combo": {"chi(psi100,rho)": 1}, "degree": (p * p - 1) * (p - 1),
-         "val": -(p - 1)},
-        {"combo": {"chi(psi010)": 1, "chi(psi10e)": 1}, "degree": p * p * (p - 1),
-         "val": 0},
-        {"combo": {"theta_{p-1}": 1, "chi(psi100)": 1},
-         "degree": (p - 1) * (p + 2), "val": p - 2},
-        {"combo": {"chi(psi100)": half, "chi(psi010)": 1},
-         "degree": (p * p - 1) * (2 * p - 1) // 2, "val": half * (p - 1)},
-    ]
-
-
 def reproduce_table4(p: int) -> MatchReport:
     report = MatchReport(f"table4@p={p}")
     ctx = overgroup_context(p, "N_gamma")
-    basis = _table2_basis(ctx, _gamma_column_classes(ctx), p)
+    basis = table2_basis(ctx)
     merged = apply_merges(ctx.base, [(ctx.z_element(), ctx.S.designated["u"])])
     sc_v1 = _s_class(ctx, ctx.S.designated["v1"])
     sc_u = _s_class(ctx, ctx.S.designated["u"])
-    rows = []
-    for spec in table4_rows(p):
-        coords = _combo([(mult, basis[name]) for name, mult in spec["combo"].items()])
+    rows = table4_basis(basis, p)
+    for i, (spec, coords) in enumerate(zip(table4_rows(p), rows)):
         cf = ctx.irr_s.combination(coords)
-        report.check(f"row{len(rows)}_degree", cf.degree_int() == spec["degree"],
+        report.check(f"row{i}_degree", cf.degree_int() == spec["degree"],
                      f"{cf.degree_int()} vs {spec['degree']}")
         good_vals = (cf.values[sc_v1] == spec["val"] and cf.values[sc_u] == spec["val"])
-        report.check(f"row{len(rows)}_values", good_vals)
-        rows.append(coords)
+        report.check(f"row{i}_values", good_vals)
     lattice = stable_character_basis(ctx.irr_s, merged)
     idx = lattice_index(lattice.basis, rows)
     report.check("span_equals_merged_lattice", idx == 1, f"index {idx}")
@@ -325,7 +237,6 @@ def reproduce_table5() -> MatchReport:
                                      if r.values[ci].is_rational_integer()
                                      and r.values[ci].rational_value() == 4)
             col_classes[f"u{j}"] = ci
-        zeta_val = expected[("sigma_1", "v2")]
         for deg, base_name in ((20, "sigma_1'"), (30, "sigma_1")):
             pair = pick_rows(ctx, degree=deg)
             anchor_col = col_classes["q" if deg == 20 else "v2"]

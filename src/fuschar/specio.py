@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 
-from .fusion import FusionData, TableFusion, apply_merges, fusion_from_group
+from .fusion import TableFusion, apply_merges, fusion_from_group
 from .groups import FiniteGroup, FpMat, Perm, enumerate_group, sylow_subgroup
 from .intlinalg import is_prime, spec_int
 

@@ -47,22 +47,20 @@ def _constancy_constraints(value_rows, class_groups, conductor: int) -> list[lis
     return constraints
 
 
-def _checked_rank(basis: list[list[int]], k: int) -> list[list[int]]:
+def stable_sublattice(basis: list[list[int]], value_rows, class_groups, conductor: int,
+                      k: int) -> list[list[int]]:
+    """HNF basis of the part of the lattice spanned by `basis` (rows in the
+    coordinates of `value_rows`, class functions in Z[zeta_conductor]) that
+    is constant on every group of columns: the nonzero HNF rows of K B, K
+    the integral kernel of B C^T for the constancy constraints C.  Its rank
+    must be k."""
+    constraints = _constancy_constraints(value_rows, class_groups, conductor)
+    if constraints:
+        kernel = kernel_rows(mat_mul(basis, transpose(constraints)))
+        basis = [r for r in hnf(mat_mul(kernel, basis)).hnf if any(r)]
     if len(basis) != k:
         raise AssertionError(f"stable lattice rank {len(basis)} != class count {k}")
     return basis
-
-
-def stable_kernel_basis(value_rows, class_groups, conductor: int) -> list[list[int]]:
-    """HNF basis of the integer combinations of `value_rows` that are constant
-    on every group of columns: the integral kernel of the constancy
-    constraints, whose rank must equal the number of groups."""
-    constraints = _constancy_constraints(value_rows, class_groups, conductor)
-    if constraints:
-        basis = kernel_rows(transpose(constraints))
-    else:
-        basis = identity_matrix(len(value_rows))
-    return _checked_rank(basis, len(class_groups))
 
 
 def stable_character_basis(irr_s: CharacterTable, fusion: FusionData) -> StableLattice:
@@ -74,9 +72,10 @@ def stable_character_basis(irr_s: CharacterTable, fusion: FusionData) -> StableL
     if irr_s.group is not S and (irr_s.group.identity != S.identity
                                  or irr_s.group.codes != S.codes):
         raise ValueError("character table and fusion data disagree on S")
-    basis = stable_kernel_basis([chi.values for chi in irr_s.chars],
-                                [fc.s_class_indices for fc in fusion.classes],
-                                irr_s.conductor)
+    values = [chi.values for chi in irr_s.chars]
+    basis = stable_sublattice(identity_matrix(len(values)), values,
+                              [fc.s_class_indices for fc in fusion.classes],
+                              irr_s.conductor, fusion.k)
     return StableLattice(fusion, irr_s, basis, len(basis))
 
 
@@ -84,9 +83,8 @@ def refine_stable_lattice(lattice: StableLattice, fusion: FusionData) -> StableL
     """The stable lattice of `fusion`, refined from that of a finer fusion.
 
     When every class of `fusion` is a union of classes of `lattice.fusion`,
-    its lattice is the part of the base lattice (basis B) killed by C_new,
-    the constraints joining the merged classes' anchors: the rows of K B, K
-    the kernel of B C_new^T, whose canonical HNF is the basis
+    its lattice is the part of the base lattice killed by the constraints
+    joining the merged classes' anchors, whose canonical HNF is the basis
     `stable_character_basis` builds.  Other fusions go to that function."""
     base = lattice.fusion
     target_of = {si: ti for ti, fc in enumerate(fusion.classes) for si in fc.s_class_indices}
@@ -96,13 +94,8 @@ def refine_stable_lattice(lattice: StableLattice, fusion: FusionData) -> StableL
     joined: dict[int, list[int]] = {}
     for fc in base.classes:
         joined.setdefault(target_of[fc.s_class_indices[0]], []).append(fc.s_class_indices[0])
-    constraints = _constancy_constraints([chi.values for chi in lattice.irr_s.chars],
-                                         joined.values(), lattice.irr_s.conductor)
-    basis = lattice.basis
-    if constraints:
-        kernel = kernel_rows(mat_mul(basis, transpose(constraints)))
-        basis = [r for r in hnf(mat_mul(kernel, basis)).hnf if any(r)]
-    basis = _checked_rank(basis, fusion.k)
+    basis = stable_sublattice(lattice.basis, [chi.values for chi in lattice.irr_s.chars],
+                              joined.values(), lattice.irr_s.conductor, fusion.k)
     return StableLattice(fusion, lattice.irr_s, basis, len(basis))
 
 

@@ -13,13 +13,14 @@ from .chartable import CharacterTable, dixon_character_table
 from .cyclotomic import Cyclotomic, cyclo_dot
 from .fusion import FusionData, TableFusion, centralizer_product, fusion_from_group
 from .groups import FiniteGroup, conjugacy_classes, standard_group, sylow_subgroup
-from .intlinalg import det_exact, hnf, lattice_index, mat_mul, p_part, prime_divisors, transpose
+from .intlinalg import (det_exact, hnf, identity_matrix, lattice_index, mat_mul, p_part,
+                        prime_divisors, transpose)
 from .stable import (
     StableLattice,
     decomposition_matrix,
     refine_stable_lattice,
     stable_character_basis,
-    stable_kernel_basis,
+    stable_sublattice,
 )
 
 
@@ -237,7 +238,8 @@ def verify_table_fusion(tf: TableFusion, label: str = "") -> VerificationReport:
     reps = [(tf.labels[grp[0]], 0, tf.centralizer_orders[grp[0]]) for grp in groups]
     try:
         e = lcm(*(v.order for row in tf.basis_values for v in row))
-        basis = stable_kernel_basis(tf.basis_values, groups, e)
+        basis = stable_sublattice(identity_matrix(len(tf.basis_values)), tf.basis_values,
+                                  groups, e, len(groups))
         gram = mat_mul(mat_mul(basis, _table_gram(tf)), transpose(basis))
         dets = lattice_determinant(gram, tf.group_order,
                                    [sum(tf.class_sizes[j] for j in grp) for grp in groups])

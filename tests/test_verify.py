@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -12,19 +13,20 @@ from fuschar.exotic import (
     certificate_f1,
     certificate_g,
     certificate_op_f1,
+    chain_certificates,
     corrupted_certificate_f1,
     overgroup_context,
     table_3492,
 )
 from fuschar.fusion import apply_merges, fusion_from_group, fusion_of_self
 from fuschar.groups import cyclic_group, standard_group, sylow_subgroup
-from fuschar.intlinalg import mat_mul, transpose
+from fuschar.intlinalg import identity_matrix, mat_mul, transpose
 from fuschar.reftables import ITEMS
 from fuschar.stable import (
     StableLattice,
     decomposition_matrix,
     stable_character_basis,
-    stable_kernel_basis,
+    stable_sublattice,
 )
 from fuschar.verify import (
     _check_dx_identity,
@@ -210,6 +212,41 @@ def test_certificates_p3():
         assert rep.containment_index == 1
 
 
+def _certificate_digest(certs) -> str:
+    h = hashlib.sha256()
+    for c in certs:
+        h.update(repr((c.label, c.b_n, c.b_f, c.eta, repr(c.z), repr(c.u))).encode())
+    return h.hexdigest()
+
+
+# sha256 of (label, b_n, b_f, eta, z, u) of each certificate: a basis that
+# changes but stays valid passes every hypothesis, so the rows are pinned
+CERTIFICATE_DIGESTS = {
+    ("F1", 3): "fd0ffe79a0d78d03d6abc28e5d7e4abb1a73d21cd963c0d57819fc50406b7e25",
+    ("F1", 5): "64631e78353b99bce88b244a944545c57937bd4af387b38de051192082968350",
+    ("F1", 7): "cda243b95128f8576cc5486b012cfc684742d7b1f82f4eea0ccd70c6f7357c3f",
+    ("G_prune", 3): "c63efafaf687e6cbb98b3b266de6f174e2fafd8fc4f184012bd7dc45855849ca",
+    ("G_prune", 5): "07ba54723a82dcb2451e2bcc0a5cb4dd9eff90ca39677a4eeaf6554cff39355a",
+    ("chain:psu", 5): "0d8f4ef3cb45d64b27c2861eed1db75de481c218cbf56ece801117b76819267a",
+    ("chain:g", 5): "bf56ca5d784b92f70c1d92ac3f7c6635e682f7f37113228f761220ed2da0e9c8",
+}
+
+
+@pytest.mark.parametrize("name,p", list(CERTIFICATE_DIGESTS))
+def test_certificate_rows_are_pinned(name, p):
+    if name.startswith("chain:"):
+        certs = chain_certificates(name.removeprefix("chain:"), p)
+    else:
+        certs = [{"F1": certificate_f1, "G_prune": certificate_g}[name](p)]
+    assert _certificate_digest(certs) == CERTIFICATE_DIGESTS[name, p]
+
+
+def test_certificate_g_names_the_missing_table1_family():
+    # for p = 1 (mod 3) Table 1 has the chi_0s_t family in place of chi_01
+    with pytest.raises(LookupError, match="chi_01 family, which exists only for p != 1"):
+        certificate_g(7)
+
+
 def test_corrupted_certificate_names_failures():
     ctx = overgroup_context(3, "N_gamma")
     rep = check_induction_certificate(corrupted_certificate_f1(3), ctx.irr_s)
@@ -309,7 +346,7 @@ def test_table_and_certificate_determinants_match_the_cyclotomic_gram():
     for grp in tf.merged_partition():
         anchor = max(grp, key=lambda j: (tf.centralizer_orders[j], -j))
         groups.append([anchor] + [j for j in grp if j != anchor])
-    k = stable_kernel_basis(tf.basis_values, groups, 9)
+    k = stable_sublattice(identity_matrix(10), tf.basis_values, groups, 9, len(groups))
     oracle, _ = gram_determinant(_x_matrix(k, tf.basis_values, [g[0] for g in groups]))
     assert verify_table_fusion(tf).lhs_det == oracle == 3 ** 25
     for certf, which in ((certificate_f1, "N_gamma"), (certificate_g, "N_b"),
