@@ -4,6 +4,10 @@ The package computes exact character tables (Dixon-Schneider), element-level
 fusion data, Hermite-normal-form bases of stable virtual-character lattices,
 and checks the determinant identity
 |X * conj(X)^T|_p = prod |C_S(s)| over fully centralised class representatives.
+
+`import fuschar` loads the verifier core and `specio`. The paper layer is
+imported by module name (`fuschar.constructions`, `fuschar.exotic`,
+`fuschar.reftables`), and so is the command line (`fuschar.cli`).
 """
 
 from .cyclotomic import Cyclotomic, cyclotomic_polynomial, exact_div
@@ -56,22 +60,7 @@ from .verify import (
     verify_group_case,
     verify_table_fusion,
 )
-from .constructions import (
-    ConstructionParams,
-    build_group,
-    count_n_v_psi,
-    gamma_group,
-    gamma_orbit_analysis,
-    induced_value_formula,
-    sylow_inside,
-)
-from .exotic import (
-    build_exotic_fusion,
-    chain_certificates,
-    overgroup_context,
-    table_3492,
-)
-from .reftables import MatchReport, reproduce
+from .specio import SpecError, fusion_from_spec, load_fusion, load_group
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

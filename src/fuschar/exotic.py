@@ -387,13 +387,13 @@ def auto_step_certificate(ctx: OvergroupContext, base_fusion: FusionData,
 def certificate_g(p: int) -> InductionCertificate:
     """Certificate for the merge on S:<b>: b_n the restrictions of Table 1's
     families, with the printed combination basis."""
+    if all(fam["name"] != "chi_01" for fam in table1_families(p)):
+        raise LookupError(f"the printed G_prune basis needs Table 1's chi_01 family, which "
+                          f"exists only for p != 1 (mod 3), not p = {p}")
     ctx = overgroup_context(p, "N_b")
     z = ctx.z_element()
     u = ctx.S.designated["u"]
     fams = table1_rows(ctx)
-    if "chi_01" not in fams:
-        raise LookupError(f"the printed G_prune basis needs Table 1's chi_01 family, which "
-                          f"exists only for p != 1 (mod 3), not p = {p}")
     lin, chi_ij, chi_01, chi_ijk, chi_0s0 = (
         fams[name] for name in ("linear", "chi_ij", "chi_01", "chi_ijk", "chi_0s0"))
     b_n = lin + chi_ij + chi_01 + chi_ijk + chi_0s0
