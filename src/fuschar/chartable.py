@@ -286,6 +286,7 @@ def _dixon_characters(G: FiniteGroup, classes: ConjugacyClassSet,
         lifts.append((distinct, per_s))
 
     chars = []
+    interned: dict[tuple, Cyclotomic] = {}  # (order, coeffs) -> one shared value
     for w in spaces:
         u = w[0]
         scale = pow(u[0], -1, l)  # identity class entry normalised to 1
@@ -307,7 +308,8 @@ def _dixon_characters(G: FiniteGroup, classes: ConjugacyClassSet,
                 coeffs.append(ms)
             if sum(coeffs) != degree:
                 raise AssertionError("eigenvalue multiplicities do not sum to the degree")
-            values.append(Cyclotomic(len(per_s), coeffs))
+            val = Cyclotomic(len(per_s), coeffs)
+            values.append(interned.setdefault((val.order, val.coeffs), val))
         chars.append(ClassFunction(tuple(values)))
     return chars
 

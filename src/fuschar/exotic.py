@@ -11,10 +11,10 @@ from typing import NamedTuple
 
 from .chartable import (CharacterTable, ClassFunction, cache_character_table,
                         dixon_character_table)
-from .constructions import (is_translation, linear_part, linear_parts, mat_vec, sylow_inside,
-                            translation_part, vec_mat)
+from .constructions import (affine, is_translation, linear_part, linear_parts, mat_vec,
+                            sylow_inside, translation, translation_part, vec_mat)
 from .cyclotomic import Cyclotomic
-from .fusion import FusionData, TableFusion, _finalise, apply_merges, fusion_of_self
+from .fusion import FusionData, TableFusion, _finalise, apply_merges, join
 from .groups import FiniteGroup, conjugacy_classes, enumerate_group, orbit_stabiliser
 from .intlinalg import hnf, lattice_index, p_part, transpose
 from .stable import _decompose, stable_character_basis
@@ -104,12 +104,9 @@ def _fusion_by_conjugation(p: int, s: FiniteGroup, h: FiniteGroup,
     (xv, xgx^-1) lies in S exactly when x normalises U, which every g != 1
     generates; N_H(U) is the stabiliser of U - {1} under x -> x^-1 . x."""
     sc = conjugacy_classes(s)
-    where = {(translation_part(y), linear_part(y).entries): c
-             for y, c in zip(s.elements, sc.class_of)}
-    one = h.identity.entries
-    pairs = {(where[v, one], where[mat_vec(m, v), one])
-             for v in product(range(p), repeat=3) for m in h.generators}
-    off_v = [(i, v, g) for i, (v, g, _) in enumerate(reps) if g.entries != one]
+    in_v = {v: sc.class_index_of(s, translation(p, v)) for v in product(range(p), repeat=3)}
+    pairs = [(c, in_v[mat_vec(m, v)]) for v, c in in_v.items() for m in h.generators]
+    off_v = [(i, v, g) for i, (v, g, _) in enumerate(reps) if not g.is_identity()]
     u_minus_1 = frozenset(off_v[0][2] ** k for k in range(1, p))
 
     def conjugate(us, x):
@@ -118,10 +115,9 @@ def _fusion_by_conjugation(p: int, s: FiniteGroup, h: FiniteGroup,
     _, normaliser = orbit_stabiliser(h, u_minus_1, conjugate)
     for x in normaliser.generators:
         x_inv = x.inverse()
-        conj = {g: (x * g * x_inv).entries for g in u_minus_1}
-        pairs.update((i, where[mat_vec(x, v), conj[g]]) for i, v, g in off_v)
-    merges = [(sc.classes[i].rep, sc.classes[j].rep) for i, j in pairs if i != j]
-    return [list(fc.s_class_indices) for fc in apply_merges(fusion_of_self(s, p), merges).classes]
+        pairs += [(i, sc.class_index_of(s, affine(x * g * x_inv, mat_vec(x, v))))
+                  for i, v, g in off_v]
+    return join(len(sc.classes), pairs)
 
 
 def _clifford_restrictions(p: int, h: FiniteGroup, reps: list) -> list[ClassFunction]:
@@ -134,6 +130,7 @@ def _clifford_restrictions(p: int, h: FiniteGroup, reps: list) -> list[ClassFunc
     linear = {g for _, g, _ in reps}
     seen: set = set()
     out = []
+    interned: dict[tuple, Cyclotomic] = {}  # (order, coeffs) -> one shared value
     for a in product(range(p), repeat=3):
         if a in seen:
             continue
@@ -161,7 +158,8 @@ def _clifford_restrictions(p: int, h: FiniteGroup, reps: list) -> list[ClassFunc
                     step = o // x.order
                     for i, coeff in x.terms():
                         vec[(t * (o // p) + i * step) % o] += mult * coeff
-                values.append(Cyclotomic(o, vec))
+                val = Cyclotomic(o, vec)
+                values.append(interned.setdefault((o, val.coeffs), val))
             out.append(ClassFunction(tuple(values)))
     return out
 

@@ -6,6 +6,7 @@ partition, or (table mode) from explicit class data without any group.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import NamedTuple
 
 from .cyclotomic import Cyclotomic
@@ -101,6 +102,19 @@ def fusion_of_self(S: FiniteGroup, p: int) -> FusionData:
     return fusion_from_group(S, S, p)
 
 
+def join(n: int, pairs) -> list[list[int]]:
+    """The blocks of the finest partition of range(n) joining each pair (union-find)."""
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return [list(block) for _, block in groupby(sorted(range(n), key=find), key=find)]
+
+
 def apply_merges(base: FusionData, merges: list[tuple]) -> FusionData:
     """Finest coarsening of `base` putting each merge pair in a common class.
 
@@ -110,15 +124,9 @@ def apply_merges(base: FusionData, merges: list[tuple]) -> FusionData:
     which is what guarantees rank(stable lattice) = class count downstream.
     The result is not certified saturated.
     """
-    parent = list(range(base.k))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     sc = conjugacy_classes(base.S)
+    fused = base._class_of_s_class.__getitem__
+    pairs = []
     for a, b in merges:
         if a not in base.S or b not in base.S:
             raise ValueError("merge elements must lie in S")
@@ -126,14 +134,9 @@ def apply_merges(base: FusionData, merges: list[tuple]) -> FusionData:
         pa, pb = (sc.powers[sc.class_index_of(base.S, x)] for x in (a, b))
         if len(pa) != len(pb):
             raise ValueError("fused elements must have equal order")
-        for sa, sb in zip(pa, pb):
-            ra, rb = find(base._class_of_s_class[sa]), find(base._class_of_s_class[sb])
-            if ra != rb:
-                parent[ra] = rb
-    grouped: dict[int, list[int]] = {}
-    for ci, fc in enumerate(base.classes):
-        grouped.setdefault(find(ci), []).extend(fc.s_class_indices)
-    return _finalise(base.S, base.p, list(grouped.values()),
+        pairs += zip(map(fused, pa), map(fused, pb))
+    return _finalise(base.S, base.p, [[si for ci in blk for si in base.classes[ci].s_class_indices]
+                                      for blk in join(base.k, pairs)],
                      f"merged({base.provenance})", certified=False,
                      sylow=base.sylow_in_overgroup)
 

@@ -330,6 +330,16 @@ def test_cyclic_table_builds_each_root_of_unity_once(monkeypatch):
     assert len(calls) <= 64
 
 
+def test_a_dixon_table_holds_one_object_per_distinct_value():
+    """Equal values of one table are one shared (immutable) Cyclotomic."""
+    import fuschar.chartable
+
+    table = fuschar.chartable._dixon_table(standard_group("ES7"))
+    values = [v for chi in table.chars for v in chi.values]
+    distinct = {(v.order, v.coeffs) for v in values}
+    assert len({id(v) for v in values}) == len(distinct) < len(values)
+
+
 def test_class_matrix_counts_element_products():
     # GL2_3 and ES3 have classes that do not contain their inverses
     for g in (gl2_3(), heisenberg_group(3), symmetric_group(4)):

@@ -55,9 +55,10 @@ def test_fusion_and_clifford_rows_equal_the_scans_of_h_at_p7(which):
     s, h = ctx.S, ctx.N.H
     reps = [(translation_part(c.rep), linear_part(c.rep), c.rep_order)
             for c in conjugacy_classes(s).classes]
-    fusion = _fusion_by_conjugation(p, s, h, reps)
-    assert fusion == fusion_by_conjugation_by_scan(p, s, h, reps)
-    assert fusion == [list(fc.s_class_indices) for fc in ctx.base.classes]
+    # _finalise orders the classes, so the order of the blocks is no contract
+    fusion = sorted(map(sorted, _fusion_by_conjugation(p, s, h, reps)))
+    assert fusion == sorted(map(sorted, fusion_by_conjugation_by_scan(p, s, h, reps)))
+    assert fusion == sorted(list(fc.s_class_indices) for fc in ctx.base.classes)
     rows = _clifford_restrictions(p, h, reps)
     assert [chi.values for chi in rows] == \
         [chi.values for chi in clifford_restrictions_by_scan(p, h, reps)]
@@ -89,6 +90,34 @@ def test_no_closure_is_larger_than_s_or_h(monkeypatch):
         assert ctx.N.H.order in orders and p ** 4 in orders
 
 
+def _bypass_construction_caches(monkeypatch):
+    for cached in (linear_parts, sylow_inside, gamma_group):
+        monkeypatch.setattr(fuschar.constructions, cached.__name__, cached.__wrapped__)
+        monkeypatch.setattr(fuschar.exotic, cached.__name__, cached.__wrapped__, raising=False)
+
+
+def test_a_fresh_context_never_decodes_s(monkeypatch):
+    """The fusion joins S-class indices, looked up one element at a time:
+    no group of the context lists its elements."""
+    def decoded(group):
+        raise AssertionError(f"the elements of a group of order {group.order} were decoded")
+
+    _bypass_construction_caches(monkeypatch)
+    monkeypatch.setattr(fuschar.groups.FiniteGroup, "elements", property(decoded))
+    for p, which in CASES:
+        overgroup_context.__wrapped__(p, which)
+
+
+def test_a_fresh_context_holds_one_object_per_distinct_value():
+    """Each Clifford table shares its equal (immutable) values: Irr(S) and
+    the restriction rows each hold one Cyclotomic per distinct value."""
+    for p, which in CASES:
+        ctx = overgroup_context.__wrapped__(p, which)
+        for values in ([v for chi in ctx.irr_s.chars for v in chi.values],
+                       [v for row in ctx.rows for v in row.values]):
+            assert len({id(v) for v in values}) == len({(v.order, v.coeffs) for v in values})
+
+
 def test_irr_s_comes_from_clifford_theory_not_dixon_schneider(monkeypatch):
     """S = V:U is affine, so Irr(S) is the Clifford table with H = U: a fresh
     context runs Dixon-Schneider on no group of order |S|."""
@@ -100,9 +129,7 @@ def test_irr_s_comes_from_clifford_theory_not_dixon_schneider(monkeypatch):
         return real(G, *args)
 
     monkeypatch.setattr(fuschar.chartable, "_dixon_characters", recording)
-    for cached in (linear_parts, sylow_inside, gamma_group):
-        monkeypatch.setattr(fuschar.constructions, cached.__name__, cached.__wrapped__)
-        monkeypatch.setattr(fuschar.exotic, cached.__name__, cached.__wrapped__, raising=False)
+    _bypass_construction_caches(monkeypatch)
     for p, which in CASES:
         del orders[:]
         ctx = overgroup_context.__wrapped__(p, which)
