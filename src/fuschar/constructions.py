@@ -127,11 +127,11 @@ def gamma_group(p: int, variant: str) -> FiniteGroup:
     return enumerate_group(gens)
 
 
-def _designated(p: int, which: str) -> dict:
-    """The named elements of S (and b, in S:<b>), as affine matrices."""
+def _designated(p: int) -> dict:
+    """The named elements of S, as affine matrices."""
     params = ConstructionParams.for_prime(p)
     eps, lam = params.epsilon, params.lam
-    designated = {
+    return {
         "z": translation(p, (1, 0, 0)),
         "v1": translation(p, (1, 0, 0)),
         "v2": translation(p, (0, 1, 0)),
@@ -141,9 +141,6 @@ def _designated(p: int, which: str) -> dict:
         "lam*(v1+e*v3)": translation(p, (lam, 0, lam * eps % p)),
         "u": affine(u_linear(p), (0, 0, 0)),
     }
-    if which == "N_b":
-        designated["b"] = affine(linear_parts(p, which).generators[1], (0, 0, 0))
-    return designated
 
 
 def _v_generators(p: int) -> list[FpMat]:
@@ -171,17 +168,15 @@ def build_group(p: int, which: str) -> FiniteGroup:
     """
     linear = [u_linear(p)] if which == "S" else linear_parts(p, which).generators
     gens = _v_generators(p) + [affine(m, (0, 0, 0)) for m in linear]
-    return enumerate_group(gens, designated=_designated(p, which))
+    return enumerate_group(gens, designated=_designated(p))
 
 
 @lru_cache(maxsize=None)
-def sylow_inside(p: int, which: str) -> FiniteGroup:
-    """The designated copy of S = V:U inside the overgroup `which` = V:H.
-    N holds every translation, so S lies in N exactly when u's linear part
-    lies in H; N itself is not built."""
-    if u_linear(p) not in linear_parts(p, which):
-        raise AssertionError(f"S is not a subgroup of {which} at p = {p}")
-    designated = _designated(p, which)
+def sylow_inside(p: int) -> FiniteGroup:
+    """S = V:U with its named elements, one group per prime: every overgroup
+    V:H whose H holds u's linear part contains it, so all of them share S,
+    its classes and Irr(S)."""
+    designated = _designated(p)
     return enumerate_group(_v_generators(p) + [designated["u"]], designated=designated)
 
 

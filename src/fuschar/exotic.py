@@ -12,7 +12,7 @@ from typing import NamedTuple
 from .chartable import (CharacterTable, ClassFunction, cache_character_table,
                         dixon_character_table)
 from .constructions import (affine, is_translation, linear_part, linear_parts, mat_vec,
-                            sylow_inside, translation, translation_part, vec_mat)
+                            sylow_inside, translation, translation_part, u_linear, vec_mat)
 from .cyclotomic import Cyclotomic
 from .fusion import FusionData, TableFusion, _finalise, apply_merges, join
 from .groups import FiniteGroup, conjugacy_classes, enumerate_group, orbit_stabiliser
@@ -58,18 +58,19 @@ def overgroup_context(p: int, which: str) -> OvergroupContext:
     """S, Irr(S), the fusion of S in N = V:H and Irr(N)|_S, from H alone:
     N is never enumerated.  V lies in S, so S-classes fuse in N exactly when
     H conjugates one into the other; by second orthogonality, that fusion
-    and the Clifford rows of Irr(N)|_S certify each other.  S = V:U is
-    affine too, so Irr(S) is the Clifford table with H = U = <u's linear part>."""
+    and the Clifford rows of Irr(N)|_S certify each other.  S = V:U, shared
+    by every N at p, is affine: Irr(S) is its Clifford table with H = U."""
     h = linear_parts(p, which)
-    s = sylow_inside(p, which)
+    if u_linear(p) not in h:  # N holds V, so S = V:U lies in N iff H holds u
+        raise AssertionError(f"S is not a subgroup of {which} at p = {p}")
+    s = sylow_inside(p)
     n = AffineOvergroup(h, p ** 3 * h.order)
     sc = conjugacy_classes(s)
     reps = [(translation_part(c.rep), linear_part(c.rep), c.rep_order) for c in sc.classes]
-    sylow = s.order == p_part(n.order, p)
-    base = _finalise(s, p, _fusion_by_conjugation(p, s, h, reps), "group", certified=sylow,
-                     sylow=sylow)
-    u_group = enumerate_group([linear_part(s.designated["u"])])
-    irr_s = cache_character_table(s, _clifford_restrictions(p, u_group, reps))
+    base = _finalise(s, p, _fusion_by_conjugation(p, s, h, reps),
+                     certified=s.order == p_part(n.order, p))
+    irr_s = s._table or cache_character_table(
+        s, _clifford_restrictions(p, enumerate_group([u_linear(p)]), reps))
     restricted = _clifford_restrictions(p, h, reps)
     if sum(chi.degree_int() ** 2 for chi in restricted) != n.order:
         raise AssertionError("Clifford degrees: the squares of chi(1) do not sum to |N|")

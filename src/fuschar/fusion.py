@@ -23,17 +23,14 @@ class FusionClass(NamedTuple):
 
 
 class FusionData:
-    __slots__ = ("S", "p", "classes", "provenance", "saturation_certified",
-                 "sylow_in_overgroup", "_class_of_s_class")
+    __slots__ = ("S", "p", "classes", "saturation_certified", "_class_of_s_class")
 
-    def __init__(self, S: FiniteGroup, p: int, classes: list[FusionClass], provenance: str,
-                 saturation_certified: bool, sylow_in_overgroup: bool | None = None) -> None:
+    def __init__(self, S: FiniteGroup, p: int, classes: list[FusionClass],
+                 saturation_certified: bool) -> None:
         self.S = S
         self.p = p
         self.classes = classes
-        self.provenance = provenance
         self.saturation_certified = saturation_certified
-        self.sylow_in_overgroup = sylow_in_overgroup
         self._class_of_s_class = {}  # S-class index -> fusion class index
 
     @property
@@ -67,10 +64,9 @@ def _build_classes(S: FiniteGroup, groups: list[list[int]]) -> list[FusionClass]
     return out
 
 
-def _finalise(S: FiniteGroup, p: int, groups: list[list[int]], provenance: str,
-              certified: bool, sylow: bool | None = None) -> FusionData:
+def _finalise(S: FiniteGroup, p: int, groups: list[list[int]], certified: bool) -> FusionData:
     classes = _build_classes(S, groups)
-    fd = FusionData(S, p, classes, provenance, certified, sylow)
+    fd = FusionData(S, p, classes, certified)
     for ci, fc in enumerate(classes):
         for si in fc.s_class_indices:
             fd._class_of_s_class[si] = ci
@@ -93,9 +89,7 @@ def fusion_from_group(G: FiniteGroup, S: FiniteGroup, p: int) -> FusionData:
     by_g_class: dict[int, list[int]] = {}
     for s_idx, g_idx in enumerate(fusion):
         by_g_class.setdefault(g_idx, []).append(s_idx)
-    sylow = S.order == p_part(G.order, p)
-    return _finalise(S, p, list(by_g_class.values()), "group", certified=sylow,
-                     sylow=sylow)
+    return _finalise(S, p, list(by_g_class.values()), certified=S.order == p_part(G.order, p))
 
 
 def fusion_of_self(S: FiniteGroup, p: int) -> FusionData:
@@ -136,9 +130,7 @@ def apply_merges(base: FusionData, merges: list[tuple]) -> FusionData:
             raise ValueError("fused elements must have equal order")
         pairs += zip(map(fused, pa), map(fused, pb))
     return _finalise(base.S, base.p, [[si for ci in blk for si in base.classes[ci].s_class_indices]
-                                      for blk in join(base.k, pairs)],
-                     f"merged({base.provenance})", certified=False,
-                     sylow=base.sylow_in_overgroup)
+                                      for blk in join(base.k, pairs)], certified=False)
 
 
 def centralizer_product(F: FusionData) -> int:

@@ -15,11 +15,14 @@ from typing import NamedTuple
 
 
 def spec_int(value, what: str) -> int:
-    """An integer read from JSON: an int or a decimal string, never a float
-    or a bool, which int() would truncate or accept."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    """An integer read from JSON, an int or a decimal string; a float or a bool
+    (which int() would truncate or accept) or any other value raises, naming `what`."""
+    if not isinstance(value, bool) and isinstance(value, (int, str)):
+        try:
+            return int(value)
+        except ValueError:  # a non-decimal string
+            pass
+    raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
 def identity_matrix(n: int) -> list[list[int]]:

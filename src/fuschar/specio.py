@@ -124,7 +124,8 @@ def fusion_from_spec(spec: dict):
     group = group_from_spec(spec["group"])
     p = spec_int(spec["p"], "p")
     if "S" in spec:
-        s_gens = [resolve_word(w, group) for w in _array(spec, "S")]
+        # "S": [] is the trivial subgroup, of G's own kind
+        s_gens = [resolve_word(w, group) for w in _array(spec, "S")] or [group.identity]
         s = enumerate_group(s_gens, max_order=group.order)
         s.designated.update(group.designated)
     else:

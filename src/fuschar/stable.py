@@ -155,31 +155,24 @@ def restriction_coordinates(irr_g: CharacterTable, S: FiniteGroup,
 class DecompositionData(NamedTuple):
     d_matrix: list[list[int]]  # rows Irr(G), columns the stable basis
     det_c: int
-    outside_rows: list[int]  # Irr(G) rows whose restriction left the lattice
 
 
 def decomposition_matrix(irr_g: CharacterTable, S: FiniteGroup,
                          lattice: StableLattice) -> DecompositionData:
     """Restrictions of Irr(G) solved over the stable basis; C = D^T D.
 
-    A restriction outside the lattice is legal only when S is not Sylow in
-    G; such rows are reported, not fatal.
+    Each restriction has integral multiplicities and is constant on the
+    G-classes, so it lies in the lattice of G's own fusion of S; one that
+    does not means the lattice is of another fusion, and raises.
     """
     _, coords = restriction_coordinates(irr_g, S, lattice.irr_s)
     solve = hnf(lattice.basis).solve
-    rows = []
-    outside = []
-    for i, row in enumerate(coords):
-        sol = solve(row)
-        if sol is None:
-            outside.append(i)
-        else:
-            rows.append(sol)
-    if outside and lattice.fusion.sylow_in_overgroup:
-        raise AssertionError("Sylow restriction left the stable lattice")
+    rows = [solve(row) for row in coords]
+    if None in rows:
+        raise AssertionError(f"Irr(G) row {rows.index(None)} restricts outside the stable lattice")
     c = mat_mul(transpose(rows), rows)
     det_c = det_exact(c) if c else 1
-    return DecompositionData(rows, det_c, outside)
+    return DecompositionData(rows, det_c)
 
 
 # -- indecomposable stable characters -----------------------------------------

@@ -207,13 +207,12 @@ def verify_group_case(G: FiniteGroup, p: int, label: str = "") -> VerificationRe
 
 def _check_dx_identity(dec, lattice: StableLattice, irr_g: CharacterTable,
                        g_cols: list[int]) -> bool:
-    """(D X)[chi][s] must equal chi(s) for every restricted irreducible; g_cols
+    """(D X)[chi][s] must equal chi(s) for every chi in Irr(G); g_cols
     are the G-classes of the fusion representatives.  X = B Psi, so D X is
     evaluated as (D B) Psi: the integer product first, then the values of
     Irr(S) at the representatives' S-classes.  Each distinct row of D B is
     evaluated once, and values are compared with `==` (canonical forms are
     unique, so it embeds only when the orders differ)."""
-    restricted = [chi for i, chi in enumerate(irr_g.chars) if i not in dec.outside_rows]
     fusion = lattice.fusion
     sc = conjugacy_classes(fusion.S)
     db_rows = [tuple(row) for row in mat_mul(dec.d_matrix, lattice.basis)]
@@ -222,7 +221,7 @@ def _check_dx_identity(dec, lattice: StableLattice, irr_g: CharacterTable,
     psi_values = [psi.values for psi in lattice.irr_s.chars]
     dx = dict(zip(distinct, _x_matrix(distinct, psi_values, s_cols)))
     return all(dx[row] == [chi.values[gcls] for gcls in g_cols]
-               for row, chi in zip(db_rows, restricted))
+               for row, chi in zip(db_rows, irr_g.chars))
 
 
 # -- table mode ---------------------------------------------------------------

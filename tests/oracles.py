@@ -297,13 +297,12 @@ def dx_identity_by_values(dec, lattice, irr_g, g_cols):
     """`verify._check_dx_identity` over every row of D B, each entry of
     (D B) Psi a full `cyclo_dot` (no unit row is read off), compared with
     `Cyclotomic.__eq__`: the oracle for the distinct-row check."""
-    restricted = [chi for i, chi in enumerate(irr_g.chars) if i not in dec.outside_rows]
     fusion = lattice.fusion
     sc = conjugacy_classes(fusion.S)
     s_cols = [sc.class_index_of(fusion.S, fc.rep) for fc in fusion.classes]
     psis = lattice.irr_s.chars
     return all(cyclo_dot(row, [psi.values[scls] for psi in psis]) == chi.values[gcls]
-               for row, chi in zip(mat_mul(dec.d_matrix, lattice.basis), restricted)
+               for row, chi in zip(mat_mul(dec.d_matrix, lattice.basis), irr_g.chars)
                for scls, gcls in zip(s_cols, g_cols))
 
 

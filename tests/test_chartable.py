@@ -245,7 +245,7 @@ def test_induced_values_from_s_to_overgroup():
     # degree-p characters with nontrivial central value induce with -p at z
     p = 3
     n = build_group(p, "N_b")
-    s = sylow_inside(p, "N_b")
+    s = sylow_inside(p)
     tab_s = dixon_character_table(s)
     sc = tab_s.classes
     u = s.designated["u"]

@@ -72,7 +72,7 @@ def test_v_is_normal_in_overgroups():
 
 
 def test_sylow_inside_is_contained():
-    s = sylow_inside(3, "N_gamma")
+    s = sylow_inside(3)
     n = build_group(3, "N_gamma")
     assert s.order == 81 and s.is_subgroup_of(n)
 

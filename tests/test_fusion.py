@@ -76,9 +76,9 @@ def test_group_fusion_flags_and_product_drop():
     from fuschar.constructions import build_group, sylow_inside
 
     n = build_group(3, "N_b")
-    s = sylow_inside(3, "N_b")
+    s = sylow_inside(3)
     base = fusion_from_group(n, s, 3)
-    assert base.sylow_in_overgroup and base.saturation_certified
+    assert base.saturation_certified
     merged = apply_merges(base, [(s.designated["z"], s.designated["u"])])
     assert merged.k == base.k - 1
     # |C_S(u)| = p^2 makes the product drop by exactly p^2

@@ -1,16 +1,18 @@
 """The overgroup context of N = V:H, built from H alone: the fusion of S by
 H-conjugation and Irr(N)|_S by Clifford theory, against the enumerated N."""
 
+from functools import lru_cache
+
 import pytest
 
 import fuschar.chartable
 import fuschar.constructions
 import fuschar.exotic
 import fuschar.groups
-from fuschar.constructions import (gamma_group, linear_part, linear_parts, sylow_inside,
-                                   translation_part)
+from fuschar.constructions import (form_action_matrix, gamma_group, linear_part, linear_parts,
+                                   sylow_inside, translation_part)
 from fuschar.exotic import _clifford_restrictions, _fusion_by_conjugation, overgroup_context
-from fuschar.groups import conjugacy_classes
+from fuschar.groups import conjugacy_classes, enumerate_group
 
 from oracles import (clifford_restrictions_by_scan, fusion_by_conjugation_by_scan,
                      overgroup_context_by_enumeration)
@@ -37,9 +39,7 @@ def test_context_equals_the_enumerated_oracle(p, which):
             for fc in ctx.base.classes] == \
         [(fc.s_class_indices, fc.rep, fc.rep_order, fc.centralizer_order, fc.size)
          for fc in oracle.base.classes]
-    assert (ctx.base.provenance, ctx.base.saturation_certified, ctx.base.sylow_in_overgroup) == \
-        (oracle.base.provenance, oracle.base.saturation_certified,
-         oracle.base.sylow_in_overgroup)
+    assert ctx.base.saturation_certified == oracle.base.saturation_certified
     assert [(r.coords, r.degree, _values(r.values), r.n_preimages) for r in ctx.rows] == \
         [(r.coords, r.degree, _values(r.values), r.n_preimages) for r in oracle.rows]
     assert ctx.u_class_indices == oracle.u_class_indices
@@ -96,6 +96,38 @@ def _bypass_construction_caches(monkeypatch):
         monkeypatch.setattr(fuschar.exotic, cached.__name__, cached.__wrapped__, raising=False)
 
 
+def test_every_construction_at_a_prime_shares_one_s_and_one_irr_s(monkeypatch):
+    """S = V:U lies in every N = V:H at p: built from fresh caches, the four
+    contexts at p = 5 share one S and one Irr(S), tabled by Clifford theory
+    with H = U once."""
+    for cached in (linear_parts, sylow_inside, gamma_group):
+        fresh = lru_cache(maxsize=None)(cached.__wrapped__)
+        monkeypatch.setattr(fuschar.constructions, cached.__name__, fresh)
+        monkeypatch.setattr(fuschar.exotic, cached.__name__, fresh, raising=False)
+    real = fuschar.exotic._clifford_restrictions
+    u_calls = []
+
+    def recording(p, h, reps):
+        if h.order == p:
+            u_calls.append(h)
+        return real(p, h, reps)
+
+    monkeypatch.setattr(fuschar.exotic, "_clifford_restrictions", recording)
+    contexts = [overgroup_context.__wrapped__(p, which) for p, which in CASES if p == 5]
+    assert len(contexts) == 4 and len(u_calls) == 1
+    s, irr_s = contexts[0].S, contexts[0].irr_s
+    assert all(ctx.S is s and ctx.irr_s is irr_s for ctx in contexts)
+    assert s._table is irr_s
+
+
+def test_an_overgroup_without_u_is_refused(monkeypatch):
+    """S lies in N = V:H exactly when H holds u's linear part."""
+    scalars = enumerate_group([form_action_matrix(3, 2, 1, 0, 0, 1)])
+    monkeypatch.setattr(fuschar.exotic, "linear_parts", lambda p, which: scalars)
+    with pytest.raises(AssertionError, match="S is not a subgroup of N_gamma at p = 3"):
+        overgroup_context.__wrapped__(3, "N_gamma")
+
+
 def test_a_fresh_context_never_decodes_s(monkeypatch):
     """The fusion joins S-class indices, looked up one element at a time:
     no group of the context lists its elements."""
@@ -139,7 +171,7 @@ def test_irr_s_comes_from_clifford_theory_not_dixon_schneider(monkeypatch):
 
 def test_irr_s_at_p7_equals_dixon_schneider_on_a_fresh_s():
     ctx = overgroup_context(7, "N_gamma")
-    fresh = sylow_inside.__wrapped__(7, "N_gamma")
+    fresh = sylow_inside.__wrapped__(7)
     oracle = fuschar.chartable._dixon_table(fresh)
     assert fresh is not ctx.S and fresh.codes == ctx.S.codes
     assert [_values(chi.values) for chi in ctx.irr_s.chars] == \

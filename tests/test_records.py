@@ -82,7 +82,7 @@ def test_records_get_their_own_containers():
     r1.notes["n"] = 1
     assert (r2.matches, r2.discrepancies, r2.notes) == ([], [], {})
     c2 = cyclic_group(2)
-    f1, f2 = FusionData(c2, 2, [], "f1", True), FusionData(c2, 2, [], "f2", True)
+    f1, f2 = FusionData(c2, 2, [], True), FusionData(c2, 2, [], True)
     f1._class_of_s_class[0] = 0
     assert f2._class_of_s_class == {}
 

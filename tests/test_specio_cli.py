@@ -214,17 +214,20 @@ def test_cli_group_size_cap_is_the_guard_on_overgroup_size(monkeypatch, capsys):
 
 
 def test_verify_fusion_at_a_prime_not_dividing_the_order(tmp_path, capsys):
-    # S is the trivial subgroup of G's own kind, so the fusion verifies with k(F) = 1
+    # S is the trivial subgroup of G's own kind, so the fusion verifies with k(F) = 1;
+    # "S": [] names the same subgroup at a prime dividing |G|
     groups = {"s3": {"kind": "permutation", "degree": 3, "generators": [[1, 2, 0], [1, 0, 2]]},
               "gl2_3": {"kind": "matrix", "dim": 2, "char": 3,
                         "generators": [[[1, 1], [0, 1]], [[0, 1], [2, 0]], [[2, 0], [0, 1]]]}}
     for name, group in groups.items():
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({"group": group, "p": 5, "merges": []}))
-        assert main(["--format", "json", "verify-fusion", "-f", str(path)]) == 0, name
-        data = json.loads(capsys.readouterr().out)
-        assert data["verdict"] == "verified" and data["k_F"] == 1
-        assert data["checks"]["lattice_discriminant"] == "1"
+        for spec in ({"group": group, "p": 5, "merges": []}, {"group": group, "p": 2, "S": []}):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(spec))
+            assert main(["--format", "json", "verify-fusion", "-f", str(path)]) == 0, spec
+            data = json.loads(capsys.readouterr().out)
+            assert data["verdict"] == "verified" and data["k_F"] == 1
+            assert data["checks"]["lattice_discriminant"] == "1"
+            assert (data["lhs_det"], data["rhs_product"]) == ("1", "1")
 
 
 def _readme_command_line_section() -> str:
@@ -356,15 +359,22 @@ def test_cli_spec_boundary_errors_exit_2(tmp_path, capsys):
                          for row in ([1, 1], [1, -1])]}}))
     assert main(["verify-fusion", "-f", str(bad_table)]) == 2
     assert "centralizer order 6 is not a power of p = 2" in capsys.readouterr().err
-    # a float or a bool is not truncated into an integer; decimal strings still read
+    # a float, a bool or a non-decimal string is not read as an integer, and the
+    # message names the field; decimal strings still read
     group_mode = {"group": C8_SPEC, "p": 2}
+    matrix = {"kind": "matrix", "dim": 2, "char": 3, "generators": [[[1, 1], [0, 1]]]}
     c2_table = {"p": 2, "group_order": 2, "labels": ["1", "a"], "class_sizes": [1, 1],
                 "centralizer_orders": [2, 2], "merge_groups": [],
                 "basis_values": [[{"order": 1, "coeffs": [str(v)]} for v in row]
                                  for row in ([1, 1], [1, -1])]}
     inexact = [({**group_mode, "p": 2.5}, "p must be an integer"),
                ({**group_mode, "p": True}, "p must be an integer"),
-               ({"group": {**C8_SPEC, "degree": 8.0}, "p": 2}, "degree must be an integer")]
+               ({"group": {**C8_SPEC, "degree": 8.0}, "p": 2}, "degree must be an integer"),
+               ({**group_mode, "p": "a"}, "p must be an integer, got 'a'"),
+               ({"group": {**matrix, "dim": "g0"}, "p": 3}, "dim must be an integer, got 'g0'"),
+               ({"group": {**matrix, "char": "x"}, "p": 3}, "char must be an integer, got 'x'"),
+               ({"mode": "table", "table": {**table, "group_order": "q"}},
+                "group_order must be an integer, got 'q'")]
     for key, value in (("p", 2.5), ("group_order", 2.0), ("class_sizes", [1, 1.0]),
                        ("centralizer_orders", [2.9, 2]), ("merge_groups", [[0, True]])):
         inexact.append(({"mode": "table", "table": {**c2_table, key: value}},
@@ -378,7 +388,8 @@ def test_cli_spec_boundary_errors_exit_2(tmp_path, capsys):
         path = tmp_path / f"inexact{i}.json"
         path.write_text(json.dumps(spec))
         assert main(["verify-fusion", "-f", str(path)]) == 2, spec
-        assert message in capsys.readouterr().err, spec
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err, spec
     for i, spec in enumerate((group_mode, {"mode": "table", "table": c2_table})):
         path = tmp_path / f"exact{i}.json"
         path.write_text(json.dumps(spec))

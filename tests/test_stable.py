@@ -111,7 +111,6 @@ def test_decomposition_identity_when_g_is_s():
     tab = dixon_character_table(s)
     lattice = stable_character_basis(tab, fusion_of_self(s, 2))
     dec = decomposition_matrix(tab, s, lattice)
-    assert not dec.outside_rows
     assert sorted(dec.d_matrix) == sorted(
         [[1 if i == j else 0 for j in range(tab.k)] for i in range(tab.k)])
     assert abs(dec.det_c) == 1
@@ -126,7 +125,19 @@ def test_decomposition_gram_coprime_to_p():
         lattice = stable_character_basis(tab_s, fusion)
         dec = decomposition_matrix(dixon_character_table(g), s, lattice)
         assert gcd(abs(dec.det_c), p) == 1
-        assert not dec.outside_rows
+
+
+def test_a_restriction_outside_the_lattice_raises():
+    """Irr(G)|_S always lies in the lattice of G's own fusion of S.  Given the
+    lattice of a coarser fusion, here S = <(0 1), (2 3)> in S4 (not Sylow)
+    with (0 1) ~ (0 1)(2 3), the sign of S4 leaves it, and that raises."""
+    g = standard_group("S4")
+    t1, t2 = Perm([1, 0, 2, 3]), Perm([0, 1, 3, 2])
+    s = enumerate_group([t1, t2])
+    merged = apply_merges(fusion_from_group(g, s, 2), [(t1, t1 * t2)])
+    lattice = stable_character_basis(dixon_character_table(s), merged)
+    with pytest.raises(AssertionError, match="outside the stable lattice"):
+        decomposition_matrix(dixon_character_table(g), s, lattice)
 
 
 def test_indecomposables_c8():
