@@ -16,41 +16,27 @@ import traceback
 from .chartable import dixon_character_table
 from .fusion import TableFusion
 from .groups import enumerate_group
-from .reftables import ITEMS, CertificateChain, reproduce
+from .reftables import ITEMS, reproduce
 from .specio import SpecError, load_fusion, load_group, resolve_word, table_to_json
-from .verify import (
-    VerificationReport,
-    run_group_corpus,
-    verify_conjecture,
-    verify_group_case,
-    verify_table_fusion,
-)
+from .verify import run_group_corpus, verify_conjecture, verify_group_case, verify_table_fusion
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_ERROR = 2
 # any other verdict ("error") exits EXIT_ERROR
-VERDICT_EXIT = {"verified": EXIT_OK, "counterexample": EXIT_COUNTEREXAMPLE}
+VERDICT_EXIT = {"verified": EXIT_OK, "counterexample": EXIT_COUNTEREXAMPLE,
+                "mismatch": EXIT_COUNTEREXAMPLE}
 
 
 def _report_exit(report, fmt: str) -> int:
-    """Print a verification report and return the exit code of its verdict."""
-    _print_report(report, fmt)
-    return VERDICT_EXIT.get(report.verdict, EXIT_ERROR)
-
-
-def _print_report(report, fmt: str) -> None:
+    """Print a report, as its JSON or its text lines, and return the exit
+    code of its verdict: the one output path of every verify and paper run."""
     if fmt == "json":
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
-        print(f"{report.label}: {report.verdict}")
-        print(f"  p = {report.p}, k(F) = {report.k}")
-        print(f"  lhs det      = {report.lhs_det}")
-        print(f"  lhs p-part   = {report.lhs_p_part}")
-        print(f"  rhs product  = {report.rhs_product}")
-        print(f"  saturation certified: {report.saturation_certified}")
-        for key, val in report.checks.items():
-            print(f"  {key}: {val}")
+        for line in report.lines():
+            print(line)
+    return VERDICT_EXIT.get(report.verdict, EXIT_ERROR)
 
 
 def _cmd_verify_group(args) -> int:
@@ -87,38 +73,7 @@ def _cmd_char_table(args) -> int:
 
 
 def _cmd_paper(args) -> int:
-    result = reproduce(args.item, args.p)
-    if isinstance(result, CertificateChain):  # before the pair: both are tuples
-        if args.format == "json":
-            print(json.dumps({"input": result.label,
-                              "certificates": [rep.to_json() for rep in result.reports]},
-                             indent=2, sort_keys=True))
-        else:
-            for rep in result.reports:
-                status = "passed" if rep.ok else f"FAILED {rep.failures()}"
-                print(f"{rep.label}: certificate {status}")
-        return EXIT_OK if all(rep.ok for rep in result.reports) else EXIT_COUNTEREXAMPLE
-    if isinstance(result, tuple):  # example27: its match report and its verdict
-        report, verdict = result
-        if not report.ok:
-            print(f"{report.label}: reproduction BROKEN: {report.discrepancies}",
-                  file=sys.stderr)
-            return EXIT_ERROR
-        _print_report(verdict, args.format)
-        return EXIT_COUNTEREXAMPLE
-    if isinstance(result, VerificationReport):
-        return _report_exit(result, args.format)
-    if args.format == "json":
-        print(json.dumps(result.to_json(), indent=2, sort_keys=True))
-    else:
-        status = "all matched" if result.ok else "MISMATCH"
-        print(f"{result.label}: {status} "
-              f"({len(result.matches)} matches, {len(result.discrepancies)} discrepancies)")
-        for d in result.discrepancies:
-            print(f"  - {d}")
-        for key, val in result.notes.items():
-            print(f"  note {key}: {val}")
-    return EXIT_OK if result.ok else EXIT_COUNTEREXAMPLE
+    return _report_exit(reproduce(args.item, args.p), args.format)
 
 
 def _cmd_corpus(args) -> int:

@@ -38,7 +38,6 @@ class AffineOvergroup(NamedTuple):
 
 class OvergroupContext(NamedTuple):
     p: int
-    which: str
     N: AffineOvergroup
     S: FiniteGroup
     irr_s: CharacterTable
@@ -95,7 +94,7 @@ def overgroup_context(p: int, which: str) -> OvergroupContext:
     u_cls = [i for i, fc in enumerate(base.classes) if not is_translation(fc.rep)]
     u_main = base.class_of_element(s.designated["u"])
     u_cls.sort(key=lambda i: (i != u_main, i))
-    return OvergroupContext(p, which, n, s, irr_s, base, rows, u_cls)
+    return OvergroupContext(p, n, s, irr_s, base, rows, u_cls)
 
 
 def _fusion_by_conjugation(p: int, s: FiniteGroup, h: FiniteGroup,
@@ -340,13 +339,6 @@ def certificate_f1(p: int) -> InductionCertificate:
         eta=list(basis).index("theta_{p-1}"), z=z, u=u)
 
 
-def corrupted_certificate_f1(p: int) -> InductionCertificate:
-    """Negative control: eta swapped for the trivial character, whose value
-    difference on the fused pair is 0."""
-    cert = certificate_f1(p)
-    return cert._replace(label=cert.label + ":corrupted", eta=0)
-
-
 def auto_step_certificate(ctx: OvergroupContext, base_fusion: FusionData,
                           b_n_rows: list[list[int]], z, u_new,
                           label: str, eta_idx: int | None = None
@@ -510,12 +502,6 @@ def _psu_first_certificate(ctx: OvergroupContext) -> InductionCertificate:
     return InductionCertificate(
         label=f"F({p}^4,7,{CHAIN_LABELS['psu'][0]})", base=ctx.base, target=target,
         b_n=[list(r.coords) for r in b_n], b_f=b_f, eta=2, z=z, u=u)
-
-
-def certificate_psu_59(p: int = 5) -> InductionCertificate:
-    """Variant of the first chain step with eta the degree p-1 inflation."""
-    cert = _psu_first_certificate(overgroup_context(p, CHAIN_BASES["psu"]))
-    return cert._replace(label=cert.label + ":theta", eta=1)
 
 
 # -- the order-162 table-mode instance ------------------------------------------

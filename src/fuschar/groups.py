@@ -569,13 +569,6 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassSet:
     return result
 
 
-def subgroup(G: FiniteGroup, gens: list) -> FiniteGroup:
-    for g in gens:
-        if g not in G:
-            raise ValueError("subgroup generators must lie in the ambient group")
-    return enumerate_group(gens, max_order=G.order)
-
-
 def sylow_subgroup(G: FiniteGroup, p: int) -> FiniteGroup:
     """A Sylow p-subgroup, grown from a maximal-order p-element by repeated
     normalizer extensions; a p-group is its own."""

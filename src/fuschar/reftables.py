@@ -1,7 +1,8 @@
 """Reproduction suites for the bundled reference data: symbolic character
 tables of the overgroups, orbit analyses, point counts, and the known
-non-saturated counterexample.  Each suite returns a structured match report;
-discrepancies are first-class output, not exceptions.
+non-saturated counterexample.  A table or lemma suite returns a match report
+whose discrepancies are its "mismatch" verdict; example27 returns its
+counterexample verdict and raises if the reproduction behind it breaks.
 
 `ITEMS` lists every `fuschar paper` item with the prime it runs at by default
 and whether that is its only prime; `reproduce` is the one way to run them.
@@ -42,7 +43,8 @@ from .groups import conjugacy_classes, cyclic_group
 from .intlinalg import lattice_index
 from .specio import SpecError
 from .stable import indecomposables_bounded, stable_character_basis
-from .verify import check_certificate_chain, verify_conjecture, verify_table_fusion
+from .verify import (VerificationReport, check_certificate_chain, verify_conjecture,
+                     verify_table_fusion)
 
 
 class MatchReport:
@@ -57,6 +59,17 @@ class MatchReport:
     @property
     def ok(self) -> bool:
         return not self.discrepancies
+
+    @property
+    def verdict(self) -> str:
+        return "verified" if self.ok else "mismatch"
+
+    def lines(self) -> list[str]:
+        status = "all matched" if self.ok else "MISMATCH"
+        return ([f"{self.label}: {status} "
+                 f"({len(self.matches)} matches, {len(self.discrepancies)} discrepancies)"]
+                + [f"  - {d}" for d in self.discrepancies]
+                + [f"  note {key}: {val}" for key, val in self.notes.items()])
 
     def check(self, name: str, good: bool, detail: str = "") -> None:
         (self.matches if good else self.discrepancies).append(
@@ -332,8 +345,9 @@ def reproduce_table6() -> MatchReport:
     return report
 
 
-def reproduce_example27() -> tuple[MatchReport, object]:
-    """The non-saturated merge on the cyclic group of order 8."""
+def reproduce_example27() -> VerificationReport:
+    """The counterexample verdict of the non-saturated merge on the cyclic
+    group of order 8; raises if the data behind it differ from the paper's."""
     report = MatchReport("example27")
     c8 = cyclic_group(8)
     a = c8.designated["a"]
@@ -352,8 +366,9 @@ def reproduce_example27() -> tuple[MatchReport, object]:
     report.check("lhs_2^22", verdict.lhs_det == 2 ** 22, f"det {verdict.lhs_det}")
     report.check("rhs_2^21", verdict.rhs_product == 2 ** 21)
     report.check("verdict_counterexample", verdict.verdict == "counterexample")
-    report.notes["saturation_certified"] = verdict.saturation_certified
-    return report, verdict
+    if not report.ok:
+        raise AssertionError(f"{report.label}: reproduction BROKEN: {report.discrepancies}")
+    return verdict
 
 
 # -- the exotic systems on the p^4 family ----------------------------------------
@@ -364,6 +379,17 @@ class CertificateChain(NamedTuple):
 
     label: str
     reports: list
+
+    @property
+    def verdict(self) -> str:
+        return "verified" if all(rep.ok for rep in self.reports) else "mismatch"
+
+    def lines(self) -> list[str]:
+        return [f"{rep.label}: certificate "
+                + ("passed" if rep.ok else f"FAILED {rep.failures()}") for rep in self.reports]
+
+    def to_json(self) -> dict:
+        return {"input": self.label, "certificates": [rep.to_json() for rep in self.reports]}
 
 
 def _exotic_verdict(name: str, p: int):
@@ -410,10 +436,11 @@ ITEMS = {
 def reproduce(item: str, p: int | None = None):
     """Run one `paper` item at p, or at its own prime when p is None.
 
-    The result is a MatchReport, a VerificationReport, example27's
-    (MatchReport, VerificationReport) pair, or a CertificateChain.  An
-    unknown item, or another prime for a fixed-prime item, is refused
-    before any group is built.
+    The result is a MatchReport, a VerificationReport or a CertificateChain.
+    Each has one protocol: a `verdict` ("verified", "counterexample",
+    "mismatch" or "error"), `lines()`, its text output, and `to_json()`.  An
+    unknown item, or another prime for a fixed-prime item, is refused before
+    any group is built.
     """
     entry = ITEMS.get(item)
     if entry is None:

@@ -47,6 +47,15 @@ class VerificationReport:
     def ok(self) -> bool:
         return self.verdict == "verified"
 
+    def lines(self) -> list[str]:
+        return [f"{self.label}: {self.verdict}",
+                f"  p = {self.p}, k(F) = {self.k}",
+                f"  lhs det      = {self.lhs_det}",
+                f"  lhs p-part   = {self.lhs_p_part}",
+                f"  rhs product  = {self.rhs_product}",
+                f"  saturation certified: {self.saturation_certified}"] + \
+            [f"  {key}: {val}" for key, val in self.checks.items()]
+
     def to_json(self) -> dict:
         return {
             "input": self.label,

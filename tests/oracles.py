@@ -157,7 +157,7 @@ def overgroup_context_by_enumeration(p, which):
     u_cls = [i for i, fc in enumerate(base.classes) if not is_translation(fc.rep)]
     u_main = base.class_of_element(s.designated["u"])
     u_cls.sort(key=lambda i: (i != u_main, i))
-    return OvergroupContext(p, which, n, s, irr_s, base, rows, u_cls)
+    return OvergroupContext(p, n, s, irr_s, base, rows, u_cls)
 
 
 def induced_value_direct(p, psi_key, rho_degree, v_key):

@@ -13,11 +13,11 @@ from fuschar.chartable import (
 )
 from fuschar.constructions import build_group, count_n_v_psi, table3_expected
 from fuschar.exotic import (
+    _psu_first_certificate,
     build_exotic_fusion,
     certificate_f1,
     certificate_g,
     certificate_op_f1,
-    certificate_psu_59,
     chain_certificates,
     overgroup_context,
     table_3492,
@@ -251,7 +251,9 @@ def test_criterion_8_exotic_verifications_p5():
             rep = verify_conjecture(merged, ctx.irr_s, f"{name}@5")
             assert rep.verdict == "verified", name
         ctx_psu = overgroup_context(5, "N_gamma4star")
-        crep = check_induction_certificate(certificate_psu_59(5), ctx_psu.irr_s)
+        # the first psu chain step with eta the degree p-1 inflation
+        cert = _psu_first_certificate(ctx_psu)._replace(eta=1)
+        crep = check_induction_certificate(cert, ctx_psu.irr_s)
         assert crep.ok, crep.failures()
         seen = []
         for family, which in (("psu", "N_gamma4star"), ("g", "N_b")):

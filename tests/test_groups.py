@@ -27,7 +27,6 @@ from fuschar.groups import (
     heisenberg_group,
     orbit_stabiliser,
     standard_group,
-    subgroup,
     sylow_subgroup,
     symmetric_group,
 )
@@ -248,7 +247,7 @@ def test_class_partition_invariants():
 def test_order_162_overgroup_has_ten_classes_meeting_s():
     n = build_group(3, "N_b")
     assert n.order == 162
-    s = subgroup(n, [g for g in n.generators[:4]])
+    s = enumerate_group(n.generators[:4], max_order=n.order)
     assert s.order == 81
     nc = conjugacy_classes(n)
     meeting = {nc.class_index_of(n, x) for x in s.elements}

@@ -1,7 +1,9 @@
 import argparse
+import copy
 import hashlib
 import io
 import json
+import random
 import re
 import time
 from pathlib import Path
@@ -411,6 +413,87 @@ def test_table_mode_value_order_must_divide_twice_the_group_order(tmp_path, caps
     assert "value order 720720 does not divide" in capsys.readouterr().err
 
 
+# the fields read as integers; a generator's entries are named by the generator
+INTEGER_FIELDS = {"degree", "dim", "char", "p", "generators", "group_order", "class_sizes",
+                  "centralizer_orders", "merge_groups", "order", "coeffs"}
+_DROP = object()
+# small replacements only, so no mutant builds a large group
+REPLACEMENTS = [0, 1, -1, 2, "a", 2.5, True, None, [], {}, _DROP]
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, (dict, list)) and node:
+        for key, val in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _leaf_paths(val, path + (key,))
+    else:
+        yield path
+
+
+def _mutant(spec, rng):
+    """spec with one or two leaves replaced or dropped, and what was done."""
+    spec = copy.deepcopy(spec)
+    done = []
+    for _ in range(rng.choice((1, 2))):
+        path = rng.choice(list(_leaf_paths(spec)))
+        parent = spec
+        for key in path[:-1]:
+            parent = parent[key]
+        new = rng.choice(REPLACEMENTS)
+        if new is _DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(new)
+        done.append((path, new))
+    return spec, done
+
+
+def _integer_field_message(path, new):
+    """What stderr must say when the leaf at path, an integer field, gets the
+    non-integer new; None when the leaf is no integer field or new is an integer."""
+    keys = [k for k in path if isinstance(k, str)]
+    if not keys or keys[-1] not in INTEGER_FIELDS or new is _DROP \
+            or (isinstance(new, int) and not isinstance(new, bool)):
+        return None
+    if keys[-1] == "generators":
+        return f"generator {path[path.index('generators') + 1]} has a non-integer entry"
+    return f"{keys[-1]} must be an integer"
+
+
+def test_spec_mutations_exit_0_1_or_2_and_name_bad_integer_fields(tmp_path, capsys):
+    """Seeded one- and two-leaf mutations of four specs through the CLI: every
+    run exits 0, 1 or 2, none crashes, and a non-integer in an integer field
+    is named in stderr."""
+    from fuschar.exotic import table_3492
+
+    s4 = {"kind": "permutation", "degree": 4, "generators": [[1, 0, 2, 3], [1, 2, 3, 0]]}
+    matrix = {"kind": "matrix", "dim": 2, "char": 3,
+              "generators": [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]}
+    specs = [
+        ({"group": C8_SPEC, "p": 2, "merges": [["g0^2", "g0^6"]], "mode": "group"},
+         ["verify-fusion", "-f"]),
+        ({"mode": "table", "table": table_3492().to_json()}, ["verify-fusion", "-f"]),
+        (matrix, ["verify-group", "-p", "3", "-g"]),
+        (s4, ["verify-group", "-p", "2", "-g"]),
+    ]
+    codes, named = set(), 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        spec, argv = specs[seed % len(specs)]
+        mutant, done = _mutant(spec, rng)
+        path = tmp_path / f"mutant{seed}.json"
+        path.write_text(json.dumps(mutant))
+        code = main(argv + [str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (seed, done)
+        assert "internal error" not in err, (seed, done, err)
+        message = _integer_field_message(*done[0]) if len(done) == 1 else None
+        if message is not None:
+            assert code == 2 and message in err, (seed, done, err)
+            named += 1
+        codes.add(code)
+    assert named >= 20 and 0 in codes
+
+
 def test_paper_exotic_error_verdict_exits_2(monkeypatch, capsys):
     import fuschar.exotic
     from fuschar.cyclotomic import Cyclotomic
@@ -470,25 +553,57 @@ def _without_seconds(data):
     return data
 
 
-# exit code and sha256 of the `--format json` output, without `seconds`, of
-# each item at its default prime
+# exit code, sha256 of the `--format json` output without `seconds`, and
+# sha256 of the `--format text` output of each item at its default prime
 PAPER_OUTPUT = {
-    "table1": (0, "6d3a03bbd7c8965b9eb80b9494501db44a8b5ab050ced4e204e5102f4a81338b"),
-    "table2": (0, "373634871ab17a2ee40c3b046cec0c11700f882b74bd4d0ba118460053e59171"),
-    "table3": (0, "a83f7beb717b78e34e072195ef86a248973634d971b88f85156fb79e12c89548"),
-    "table4": (0, "4ac0b8d7df6a90434f3b15569c1f533a357ace464708082026f311fba3b39297"),
-    "table5": (0, "98631306d678f5688e06c999d46db2fdb1587e70bd2dc1aad3d0abf8e37feabb"),
-    "table6": (0, "762ee389fbb676d1b587f5f5416a5de505d46cb0c7f8cbb14b1664730205fc14"),
-    "lemma42": (0, "83310120065a238205391c0a67c234b6706b3cfe93108c2cb16fdae1ad2216ed"),
-    "lemma56": (0, "c447fc3a985d463a0165512e8b4b60a9f82b524014dd490bb15b925dde916e16"),
-    "lemma58": (0, "e2de192029d339ff0cdaf2a928b87ab91032cb93f8ac2801120b4480056d1ed0"),
-    "example27": (1, "dd13a79be9a5fbb1fdb2f86369aff32315b52dcaa6d1becc882e52acb0680290"),
-    "exotic:G_prune": (0, "cd1fa2949b30489c5c2f752c5d68b94ec056b30786937969663b5944ce43465e"),
-    "exotic:F1": (0, "1010459bd7d004f0f6b092bbdd5958c959cd0df110d7c9f78e903549ae998be5"),
-    "exotic:Op_F1": (0, "aaabca2ee010bdeb795bb7ee057ba7200dc55c370add2b21c3d98429a01242a7"),
-    "exotic:F_3492": (0, "a6b84498c2b17dd1b752d8073a803cdca7299bf17a33ccbe07f8c91476ee98f1"),
-    "exotic:F547_chain:psu": (0, "a7de12e20de2c7ab96cabe33f982454b9ed3efb61479aca294bd63c3ac29396b"),
-    "exotic:F547_chain:g": (0, "455a34c4c6c528c371e5bc2e3418f535beea335d3eaa24bf55acb2885c4da777"),
+    "table1": (
+        0, "6d3a03bbd7c8965b9eb80b9494501db44a8b5ab050ced4e204e5102f4a81338b",
+        "9d65d8e352880e91bbd62afecc0dcc2ec8b3672f8084ec4c2ea79f7675b62651"),
+    "table2": (
+        0, "373634871ab17a2ee40c3b046cec0c11700f882b74bd4d0ba118460053e59171",
+        "16c9607f2c1738c9e8b3499584d3782921e4776379ab50da00be5a7ac526372e"),
+    "table3": (
+        0, "a83f7beb717b78e34e072195ef86a248973634d971b88f85156fb79e12c89548",
+        "6c7d5d2c0ce1355dce4bdec373c54000270ccedfcbf21d9b5dae6e360521bbc7"),
+    "table4": (
+        0, "4ac0b8d7df6a90434f3b15569c1f533a357ace464708082026f311fba3b39297",
+        "43513b8547e253279fc972b00968bcb6eac5997ffd0ec05a14cffc2eae5e8a01"),
+    "table5": (
+        0, "98631306d678f5688e06c999d46db2fdb1587e70bd2dc1aad3d0abf8e37feabb",
+        "38a213f9022ac8f946af6a20951bd6bde4d305d36cbe4e7d0eb604d5dddbc520"),
+    "table6": (
+        0, "762ee389fbb676d1b587f5f5416a5de505d46cb0c7f8cbb14b1664730205fc14",
+        "4b6e42d08bbdfe3a206d4fbcd05af4ddc2a82fe418ef60b1cdc60d897790e3be"),
+    "lemma42": (
+        0, "83310120065a238205391c0a67c234b6706b3cfe93108c2cb16fdae1ad2216ed",
+        "77b4de530097e84afbbffd80a8bf90b7b2d2d2be1e83b9edb12f39d3fc190c41"),
+    "lemma56": (
+        0, "c447fc3a985d463a0165512e8b4b60a9f82b524014dd490bb15b925dde916e16",
+        "a0d07472ad4b41e22181da1df04635561097833ca7a89a03001c8a0342792848"),
+    "lemma58": (
+        0, "e2de192029d339ff0cdaf2a928b87ab91032cb93f8ac2801120b4480056d1ed0",
+        "df8264b0ab52a88ddb07f002829e9a7848aeeec29576ac72374c383b8b91364d"),
+    "example27": (
+        1, "dd13a79be9a5fbb1fdb2f86369aff32315b52dcaa6d1becc882e52acb0680290",
+        "b8ea0002f68420bf055c41262e8e973f268c16fa2f7812626e67aba7e68b39bc"),
+    "exotic:G_prune": (
+        0, "cd1fa2949b30489c5c2f752c5d68b94ec056b30786937969663b5944ce43465e",
+        "04b47010cd0de20fd4019e20d4b6ea3b31f2a3db72ddf01ca1960b38407e4854"),
+    "exotic:F1": (
+        0, "1010459bd7d004f0f6b092bbdd5958c959cd0df110d7c9f78e903549ae998be5",
+        "14fb3294be6e0f0c9807afa481ca1f998003c44a20fc9086ce435a46b96fb522"),
+    "exotic:Op_F1": (
+        0, "aaabca2ee010bdeb795bb7ee057ba7200dc55c370add2b21c3d98429a01242a7",
+        "27f4fa6384ed53f23f056953ef960dea8e21ea8f30b6a36551b5744ab619bb7a"),
+    "exotic:F_3492": (
+        0, "a6b84498c2b17dd1b752d8073a803cdca7299bf17a33ccbe07f8c91476ee98f1",
+        "1f09ac47b5a9c4fc29824ff8c8b91e3a51df1eae7c970dab25397cffb431eefb"),
+    "exotic:F547_chain:psu": (
+        0, "a7de12e20de2c7ab96cabe33f982454b9ed3efb61479aca294bd63c3ac29396b",
+        "cad715390733be2693f95c8e3a9667f26ea402d08b1474e8ca2232e78353ba5d"),
+    "exotic:F547_chain:g": (
+        0, "455a34c4c6c528c371e5bc2e3418f535beea335d3eaa24bf55acb2885c4da777",
+        "a8f128f5e8470e6a94e66a88fc0542242129d58b6ed8a778bf3544274f9af268"),
 }
 
 
@@ -498,11 +613,56 @@ def test_paper_output_is_pinned_for_every_item():
 
 @pytest.mark.parametrize("item", list(PAPER_OUTPUT))
 def test_paper_item_output_is_unchanged(item, capsys):
-    code, digest = PAPER_OUTPUT[item]
+    code, json_digest, text_digest = PAPER_OUTPUT[item]
     assert main(["--format", "json", "paper", "--item", item]) == code
     data = _without_seconds(json.loads(capsys.readouterr().out))
     text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert hashlib.sha256(text.encode()).hexdigest() == json_digest
+    assert main(["--format", "text", "paper", "--item", item]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == text_digest
+
+
+def test_broken_example27_reproduction_exits_2_naming_the_check(monkeypatch, capsys):
+    """The merge undone, the data behind the counterexample no longer match:
+    that is an error, exit 2, never the counterexample's exit 1."""
+    import fuschar.reftables
+
+    monkeypatch.setattr(fuschar.reftables, "apply_merges", lambda base, merges: base)
+    assert main(["paper", "--item", "example27"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "example27: reproduction BROKEN" in err and "k_is_7" in err
+    assert not err.startswith("internal error")
+
+
+def test_paper_mismatch_and_failed_certificate_exit_1(monkeypatch, capsys):
+    """A match report with discrepancies and a chain with a failed step print
+    through the one report path and exit 1, the code of a mismatch."""
+    from types import SimpleNamespace
+
+    import fuschar.exotic
+    import fuschar.reftables
+    from fuschar.verify import CertificateReport
+
+    monkeypatch.setattr(fuschar.reftables, "count_n_v_psi", lambda p, *key: -1)
+    assert main(["paper", "--item", "table3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "table3@p=5: MISMATCH (0 matches, 9 discrepancies)"
+    assert len(lines) == 10 and lines[1].startswith("  - {'item': 'n[")
+    assert main(["--format", "json", "paper", "--item", "table3"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+
+    failed = CertificateReport("step", {"eta_difference_pm_p": False, "b_n_basis": True}, False)
+    monkeypatch.setattr(fuschar.exotic, "overgroup_context",
+                        lambda p, which: SimpleNamespace(irr_s=None))
+    monkeypatch.setattr(fuschar.exotic, "chain_certificates", lambda family, p: [])
+    monkeypatch.setattr(fuschar.reftables, "check_certificate_chain",
+                        lambda certs, irr_s: [failed])
+    assert main(["paper", "--item", "exotic:F547_chain:g"]) == 1
+    assert capsys.readouterr().out == "step: certificate FAILED ['eta_difference_pm_p']\n"
+    assert main(["--format", "json", "paper", "--item", "exotic:F547_chain:g"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["input"] == "F547_chain:g@p=5" and data["certificates"] == [failed.to_json()]
 
 
 @pytest.mark.parametrize("exc", [LookupError("no matching restriction"), KeyError("rho")])
