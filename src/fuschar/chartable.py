@@ -51,8 +51,24 @@ class CharacterTable(NamedTuple):
         return [c.degree_int() for c in self.chars]
 
     def combination(self, coeffs) -> ClassFunction:
-        return ClassFunction(tuple(cyclo_dot(coeffs, column)
-                                   for column in zip(*(chi.values for chi in self.chars))))
+        return ClassFunction(tuple(evaluate([coeffs], [chi.values for chi in self.chars],
+                                            range(self.k))[0]))
+
+
+def evaluate(rows, value_rows, cols) -> list[list[Cyclotomic]]:
+    """X[i][j] = sum_c rows[i][c] * value_rows[c][cols[j]] for integer rows,
+    evaluated only at the listed columns.  Each row drops its zero
+    coefficients once; a unit row (one weight, equal to 1) is read off its
+    value row."""
+    out = []
+    for coeffs in rows:
+        used = [c for c, w in enumerate(coeffs) if w]
+        weights = [coeffs[c] for c in used]
+        if weights == [1]:
+            out.append([value_rows[used[0]][j] for j in cols])
+        else:
+            out.append([cyclo_dot(weights, [value_rows[c][j] for c in used]) for j in cols])
+    return out
 
 
 def inner_product(f: ClassFunction, g: ClassFunction,

@@ -10,15 +10,15 @@ from itertools import product
 from typing import NamedTuple
 
 from .chartable import (CharacterTable, ClassFunction, cache_character_table,
-                        dixon_character_table)
+                        dixon_character_table, evaluate)
 from .constructions import (affine, is_translation, linear_part, linear_parts, mat_vec,
                             sylow_inside, translation, translation_part, u_linear, vec_mat)
 from .cyclotomic import Cyclotomic
-from .fusion import FusionData, TableFusion, _finalise, apply_merges, join
+from .fusion import FusionData, TableFusion, apply_merges, fusion_from_blocks, join
 from .groups import FiniteGroup, conjugacy_classes, enumerate_group, orbit_stabiliser
 from .intlinalg import hnf, lattice_index, p_part, transpose
-from .stable import _decompose, stable_character_basis
-from .verify import InductionCertificate, _x_matrix
+from .stable import multiplicities, stable_character_basis
+from .verify import InductionCertificate
 
 
 class RestrictionRow(NamedTuple):
@@ -66,29 +66,27 @@ def overgroup_context(p: int, which: str) -> OvergroupContext:
     n = AffineOvergroup(h, p ** 3 * h.order)
     sc = conjugacy_classes(s)
     reps = [(translation_part(c.rep), linear_part(c.rep), c.rep_order) for c in sc.classes]
-    base = _finalise(s, p, _fusion_by_conjugation(p, s, h, reps),
-                     certified=s.order == p_part(n.order, p))
+    base = fusion_from_blocks(s, p, _fusion_by_conjugation(p, s, h, reps),
+                              certified=s.order == p_part(n.order, p))
     irr_s = s._table or cache_character_table(
         s, _clifford_restrictions(p, enumerate_group([u_linear(p)]), reps))
     restricted = _clifford_restrictions(p, h, reps)
     if sum(chi.degree_int() ** 2 for chi in restricted) != n.order:
         raise AssertionError("Clifford degrees: the squares of chi(1) do not sum to |N|")
-    groups: dict[tuple, list] = {}
-    for chi in restricted:  # each value in Z[zeta_o], o its class's element order
-        groups.setdefault(tuple(v.coeffs for v in chi.values), []).append(chi)
-    distinct = [chis[0] for chis in groups.values()]
     columns: dict[tuple, list[int]] = {}
-    for j, col in enumerate(zip(*(chi.values for chi in distinct))):
+    for j, col in enumerate(zip(*(chi.values for chi in restricted))):
         columns.setdefault(tuple(v.embedded(irr_s.conductor).coeffs for v in col), []).append(j)
     if sorted(columns.values()) != sorted(list(fc.s_class_indices) for fc in base.classes):
         raise AssertionError("Clifford columns: the restricted columns do not agree "
                              "exactly on the classes fused by H-conjugation")
-    coords = _decompose(distinct, irr_s, irr_s.conductor, n.order)
+    groups: dict[tuple, list] = {}
+    for row, chi in zip(multiplicities(restricted, irr_s, irr_s.conductor, n.order), restricted):
+        groups.setdefault(tuple(row), []).append(chi)
     anchor_cols = [sc.class_index_of(s, fc.rep) for fc in base.classes]
-    rows = [RestrictionRow(coords=tuple(row), degree=chis[0].degree_int(),
+    rows = [RestrictionRow(coords=row, degree=chis[0].degree_int(),
                            values=tuple(chis[0].values[j] for j in anchor_cols),
                            n_preimages=len(chis))
-            for row, chis in zip(coords, groups.values())]
+            for row, chis in groups.items()]
     rows.sort(key=lambda r: (r.degree, tuple(v.embedded(irr_s.conductor).coeffs
                                              for v in r.values)))
     u_cls = [i for i, fc in enumerate(base.classes) if not is_translation(fc.rep)]
@@ -164,7 +162,7 @@ def _clifford_restrictions(p: int, h: FiniteGroup, reps: list) -> list[ClassFunc
     return out
 
 
-def _row_value_int(row: RestrictionRow, idx: int) -> int | None:
+def row_value_int(row: RestrictionRow, idx: int) -> int | None:
     v = row.values[idx]
     return v.rational_value() if v.is_rational_integer() else None
 
@@ -176,7 +174,7 @@ def pick_rows(ctx: OvergroupContext, degree: int | None = None,
     for row in ctx.rows:
         if degree is not None and row.degree != degree:
             continue
-        if at and any(_row_value_int(row, idx) != val for idx, val in at.items()):
+        if at and any(row_value_int(row, idx) != val for idx, val in at.items()):
             continue
         out.append(row)
     return out
@@ -247,7 +245,7 @@ def table2_rows(p: int) -> list[dict]:
     ]
 
 
-def _gamma_column_classes(ctx: OvergroupContext) -> list[int]:
+def gamma_column_classes(ctx: OvergroupContext) -> list[int]:
     """Fusion classes of (1, v1, v2, v1+eps*v3, u, other u-type)."""
     s = ctx.S
     cols = [ctx.class_of(s.identity), ctx.class_of(s.designated["v1"]),
@@ -262,7 +260,7 @@ def _gamma_column_classes(ctx: OvergroupContext) -> list[int]:
 
 def table2_basis(ctx: OvergroupContext) -> dict[str, RestrictionRow]:
     """The six basis restrictions of V:Gamma in Table 2, by row name."""
-    cols = _gamma_column_classes(ctx)
+    cols = gamma_column_classes(ctx)
     return {r["name"]: pick_unique(ctx, degree=r["vals"][0], at=dict(zip(cols, r["vals"])))
             for r in table2_rows(ctx.p) if r["basis"]}
 
@@ -286,7 +284,7 @@ def table4_rows(p: int) -> list[dict]:
 
 def table4_basis(basis: dict[str, RestrictionRow], p: int) -> list[list[int]]:
     """The rows of Table 4 in Irr(S) coordinates, from Table 2's `basis`."""
-    return [_combo([(mult, basis[name]) for name, mult in spec["combo"].items()])
+    return [combine_rows([(mult, basis[name]) for name, mult in spec["combo"].items()])
             for spec in table4_rows(p)]
 
 
@@ -318,7 +316,7 @@ def build_exotic_fusion(name: str, p: int) -> tuple[FusionData, OvergroupContext
 # -- induction certificates -----------------------------------------------------
 
 
-def _combo(terms: list[tuple[int, RestrictionRow]]) -> list[int]:
+def combine_rows(terms: list[tuple[int, RestrictionRow]]) -> list[int]:
     out = [0] * len(terms[0][1].coords)
     for mult, row in terms:
         for j, c in enumerate(row.coords):
@@ -341,8 +339,7 @@ def certificate_f1(p: int) -> InductionCertificate:
 
 def auto_step_certificate(ctx: OvergroupContext, base_fusion: FusionData,
                           b_n_rows: list[list[int]], z, u_new,
-                          label: str, eta_idx: int | None = None
-                          ) -> tuple[InductionCertificate, list[list[int]]]:
+                          label: str, eta_idx: int | None = None) -> InductionCertificate:
     """Build the next chain step: merge u_new into z's class and derive the
     candidate basis from eta."""
     p = ctx.p
@@ -350,7 +347,7 @@ def auto_step_certificate(ctx: OvergroupContext, base_fusion: FusionData,
     sc = conjugacy_classes(ctx.S)
     cols = [sc.class_index_of(ctx.S, u_new), sc.class_index_of(ctx.S, z)]
     # each row's values at u_new and z, and their gap
-    values = _x_matrix(b_n_rows, [chi.values for chi in ctx.irr_s.chars], cols)
+    values = evaluate(b_n_rows, [chi.values for chi in ctx.irr_s.chars], cols)
     gaps = [at_u - at_z for at_u, at_z in values]
     if eta_idx is None:
         candidates = []
@@ -370,9 +367,7 @@ def auto_step_certificate(ctx: OvergroupContext, base_fusion: FusionData,
             if r:
                 raise ArithmeticError("basis value difference not divisible by +-p")
             b_f.append([a + m * b for a, b in zip(row, b_n_rows[eta_idx])])
-    cert = InductionCertificate(label, base_fusion, target, b_n_rows, b_f,
-                                eta_idx, z, u_new)
-    return cert, b_f
+    return InductionCertificate(label, base_fusion, target, b_n_rows, b_f, eta_idx, z, u_new)
 
 
 def certificate_g(p: int) -> InductionCertificate:
@@ -392,12 +387,12 @@ def certificate_g(p: int) -> InductionCertificate:
         raise LookupError("Table 1's families do not exhaust the base classes")
     eta_row = chi_ijk[0]  # a degree p(p-1) induced character
     chi2 = chi_ij[0]
-    b_f = [_combo([(1, r)]) for r in lin]
-    b_f += [_combo([(1, r), (1, eta_row)]) for r in chi_ij if r is not chi2]
-    b_f += [_combo([(1, r), (1, chi2)]) for r in chi_ijk if r is not eta_row]
-    b_f.append(_combo([(1, eta_row), (1, chi2)]))
-    b_f += [_combo([(1, r)]) for r in chi_01]
-    b_f += [_combo([(1, r), ((p - 1) // 2, eta_row)]) for r in chi_0s0]
+    b_f = [combine_rows([(1, r)]) for r in lin]
+    b_f += [combine_rows([(1, r), (1, eta_row)]) for r in chi_ij if r is not chi2]
+    b_f += [combine_rows([(1, r), (1, chi2)]) for r in chi_ijk if r is not eta_row]
+    b_f.append(combine_rows([(1, eta_row), (1, chi2)]))
+    b_f += [combine_rows([(1, r)]) for r in chi_01]
+    b_f += [combine_rows([(1, r), ((p - 1) // 2, eta_row)]) for r in chi_0s0]
     target = apply_merges(ctx.base, [(z, u)])
     return InductionCertificate(
         label=f"G_prune@p={p}", base=ctx.base, target=target,
@@ -416,11 +411,9 @@ def certificate_op_f1(p: int) -> InductionCertificate:
     uc = ctx.class_of(u)
     theta_idx = next(i for i, ridx in enumerate(sel)
                      if ctx.rows[ridx].degree == p - 1
-                     and _row_value_int(ctx.rows[ridx], uc) == -1)
+                     and row_value_int(ctx.rows[ridx], uc) == -1)
     rows = [b_n_rows[i] for i in sel]
-    cert, _ = auto_step_certificate(ctx, ctx.base, rows, z, u,
-                                    f"Op_F1@p={p}", eta_idx=theta_idx)
-    return cert
+    return auto_step_certificate(ctx, ctx.base, rows, z, u, f"Op_F1@p={p}", eta_idx=theta_idx)
 
 
 def _basis_subset(ctx: OvergroupContext, rows: list[list[int]]) -> list[int]:
@@ -456,16 +449,10 @@ def chain_certificates(family: str, p: int = 5) -> list[InductionCertificate]:
     u_classes = ctx.u_class_indices
     labels = CHAIN_LABELS[family]
     certs = [_psu_first_certificate(ctx) if family == "psu" else certificate_g(p)]
-    fusion = certs[0].target
-    b_rows = certs[0].b_f
     for step, label_i in enumerate(labels[1:], start=1):
         u_new = ctx.base.classes[u_classes[step]].rep
-        cert, b_f = auto_step_certificate(
-            ctx, fusion, b_rows, z, u_new,
-            f"F({p}^4,7,{label_i})")
-        certs.append(cert)
-        fusion = cert.target
-        b_rows = b_f
+        certs.append(auto_step_certificate(ctx, certs[-1].target, certs[-1].b_f, z, u_new,
+                                           f"F({p}^4,7,{label_i})"))
     return certs
 
 
@@ -493,11 +480,11 @@ def _psu_first_certificate(ctx: OvergroupContext) -> InductionCertificate:
     # checks every hypothesis of the resulting basis.
     pairs = list(zip(sigmas, sigmas_pr))
     b_n = [one, theta, chi0] + chi_rest + sigmas + sigmas_pr
-    b_f = [_combo([(1, one)])]
-    b_f += [_combo([(1, s), (1, sp)]) for s, sp in pairs]
-    b_f += [_combo([(1, r)]) for r in chi_rest]
-    b_f.append(_combo([(1, chi0), (1, theta)]))
-    b_f += [_combo([(1, chi0), (1, s)]) for s, _ in pairs]
+    b_f = [combine_rows([(1, one)])]
+    b_f += [combine_rows([(1, s), (1, sp)]) for s, sp in pairs]
+    b_f += [combine_rows([(1, r)]) for r in chi_rest]
+    b_f.append(combine_rows([(1, chi0), (1, theta)]))
+    b_f += [combine_rows([(1, chi0), (1, s)]) for s, _ in pairs]
     target = apply_merges(ctx.base, [(z, u)])
     return InductionCertificate(
         label=f"F({p}^4,7,{CHAIN_LABELS['psu'][0]})", base=ctx.base, target=target,

@@ -64,7 +64,9 @@ def _build_classes(S: FiniteGroup, groups: list[list[int]]) -> list[FusionClass]
     return out
 
 
-def _finalise(S: FiniteGroup, p: int, groups: list[list[int]], certified: bool) -> FusionData:
+def fusion_from_blocks(S: FiniteGroup, p: int, groups: list[list[int]],
+                       certified: bool) -> FusionData:
+    """The fusion whose classes are the groups of S-class indices."""
     classes = _build_classes(S, groups)
     fd = FusionData(S, p, classes, certified)
     for ci, fc in enumerate(classes):
@@ -89,7 +91,8 @@ def fusion_from_group(G: FiniteGroup, S: FiniteGroup, p: int) -> FusionData:
     by_g_class: dict[int, list[int]] = {}
     for s_idx, g_idx in enumerate(fusion):
         by_g_class.setdefault(g_idx, []).append(s_idx)
-    return _finalise(S, p, list(by_g_class.values()), certified=S.order == p_part(G.order, p))
+    return fusion_from_blocks(S, p, list(by_g_class.values()),
+                              certified=S.order == p_part(G.order, p))
 
 
 def fusion_of_self(S: FiniteGroup, p: int) -> FusionData:
@@ -129,8 +132,9 @@ def apply_merges(base: FusionData, merges: list[tuple]) -> FusionData:
         if len(pa) != len(pb):
             raise ValueError("fused elements must have equal order")
         pairs += zip(map(fused, pa), map(fused, pb))
-    return _finalise(base.S, base.p, [[si for ci in blk for si in base.classes[ci].s_class_indices]
-                                      for blk in join(base.k, pairs)], certified=False)
+    return fusion_from_blocks(base.S, base.p,
+                              [[si for ci in blk for si in base.classes[ci].s_class_indices]
+                               for blk in join(base.k, pairs)], certified=False)
 
 
 def centralizer_product(F: FusionData) -> int:
@@ -197,16 +201,9 @@ class TableFusion:
                 seen.add(j)
 
     def merged_partition(self) -> list[list[int]]:
-        merged = set()
-        groups = []
-        for grp in self.merge_groups:
-            groups.append(sorted(grp))
-            merged.update(grp)
-        for j in range(len(self.labels)):
-            if j not in merged:
-                groups.append([j])
-        groups.sort(key=lambda g: (sum(self.class_sizes[j] for j in g), g))
-        return groups
+        """The blocks joining each merge group, sorted by (size, classes)."""
+        blocks = join(len(self.labels), [(grp[0], j) for grp in self.merge_groups for j in grp])
+        return sorted(blocks, key=lambda g: (sum(self.class_sizes[j] for j in g), g))
 
     def to_json(self) -> dict:
         return {

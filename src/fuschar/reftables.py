@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from . import exotic
-from .chartable import dixon_character_table, regular_character
+from .chartable import dixon_character_table, evaluate, regular_character
 from .constructions import (
     count_n_v_psi,
     gamma_orbit_analysis,
@@ -23,13 +23,13 @@ from .cyclotomic import Cyclotomic, cyclo_dot
 from .exotic import (
     TABLE_3492_IRR_MULTIPLICITIES,
     OvergroupContext,
-    _combo,
-    _gamma_column_classes,
-    _row_value_int,
+    combine_rows,
     cubic_root_check,
+    gamma_column_classes,
     overgroup_context,
     pick_rows,
     pick_unique,
+    row_value_int,
     table1_families,
     table1_rows,
     table2_basis,
@@ -108,12 +108,12 @@ def reproduce_table1(p: int) -> MatchReport:
 def reproduce_table2(p: int) -> MatchReport:
     report = MatchReport(f"table2@p={p}")
     ctx = overgroup_context(p, "N_gamma")
-    cols = _gamma_column_classes(ctx)
+    cols = gamma_column_classes(ctx)
     expected = table2_rows(p)
     by_vals = {tuple(r["vals"]): r for r in expected}
     realized = set()
     for row in ctx.rows:
-        vals = tuple(_row_value_int(row, c) for c in cols)
+        vals = tuple(row_value_int(row, c) for c in cols)
         match = by_vals.get(vals)
         if match is None:
             report.check("computed_row_in_table", False,
@@ -160,12 +160,11 @@ def reproduce_table4(p: int) -> MatchReport:
     sc_v1 = _s_class(ctx, ctx.S.designated["v1"])
     sc_u = _s_class(ctx, ctx.S.designated["u"])
     rows = table4_basis(basis, p)
-    for i, (spec, coords) in enumerate(zip(table4_rows(p), rows)):
-        cf = ctx.irr_s.combination(coords)
-        report.check(f"row{i}_degree", cf.degree_int() == spec["degree"],
-                     f"{cf.degree_int()} vs {spec['degree']}")
-        good_vals = (cf.values[sc_v1] == spec["val"] and cf.values[sc_u] == spec["val"])
-        report.check(f"row{i}_values", good_vals)
+    values = evaluate(rows, [chi.values for chi in ctx.irr_s.chars], [0, sc_v1, sc_u])
+    for i, (spec, (degree, at_v1, at_u)) in enumerate(zip(table4_rows(p), values)):
+        report.check(f"row{i}_degree", degree.rational_value() == spec["degree"],
+                     f"{degree.rational_value()} vs {spec['degree']}")
+        report.check(f"row{i}_values", at_v1 == spec["val"] and at_u == spec["val"])
     lattice = stable_character_basis(ctx.irr_s, merged)
     idx = lattice_index(lattice.basis, rows)
     report.check("span_equals_merged_lattice", idx == 1, f"index {idx}")
@@ -183,7 +182,7 @@ def _check_regular_decomposition(report: MatchReport, ctx: OvergroupContext,
     + p*chi(psi010), checked exactly."""
     mults = {"1_S": 1, "theta_{p-1}": 1, "chi(psi100)": 1, "chi(psi100,rho)": 1,
              "chi(psi10e)": p, "chi(psi010)": p}
-    cf = ctx.irr_s.combination(_combo([(mult, basis[name]) for name, mult in mults.items()]))
+    cf = ctx.irr_s.combination(combine_rows([(mult, basis[name]) for name, mult in mults.items()]))
     reg = regular_character(ctx.irr_s.classes, ctx.S.order)
     report.check("regular_character_identity", cf.values == reg.values)
 

@@ -26,8 +26,11 @@ class SpecError(ValueError):
 _WORD_TOKEN = re.compile(r"^(g(\d+)|[A-Za-z][A-Za-z0-9_+*()]*?)(\^(-?\d+))?$")
 
 
-def resolve_word(word: str, group: FiniteGroup):
-    """Evaluate a word like "g0*g1^-1" or a designated name like "z"."""
+def resolve_word(word: str, group: FiniteGroup, field: str = "word"):
+    """Evaluate a word like "g0*g1^-1" or a designated name like "z"; a
+    value that is not a string is refused, naming `field` and the value."""
+    if not isinstance(word, str):
+        raise SpecError(f"{field} must be an element word, got {word!r}")
     word = word.strip()
     if not word:
         raise SpecError("empty element word")
@@ -107,7 +110,7 @@ def group_from_spec(spec: dict) -> FiniteGroup:
         raise SpecError(f"unknown group kind {kind!r}")
     group = enumerate_group(gens)
     for name, word in spec.get("names", {}).items():
-        group.designated[name] = resolve_word(word, group)
+        group.designated[name] = resolve_word(word, group, f"names.{name}")
     return group
 
 
@@ -125,7 +128,7 @@ def fusion_from_spec(spec: dict):
     p = spec_int(spec["p"], "p")
     if "S" in spec:
         # "S": [] is the trivial subgroup, of G's own kind
-        s_gens = [resolve_word(w, group) for w in _array(spec, "S")] or [group.identity]
+        s_gens = [resolve_word(w, group, "S") for w in _array(spec, "S")] or [group.identity]
         s = enumerate_group(s_gens, max_order=group.order)
         s.designated.update(group.designated)
     else:
@@ -135,8 +138,7 @@ def fusion_from_spec(spec: dict):
     for pair in _array(spec, "merges"):
         if not isinstance(pair, list) or len(pair) != 2:
             raise SpecError(f"merge entries need two words, got {pair!r}")
-        a = resolve_word(pair[0], group)
-        b = resolve_word(pair[1], group)
+        a, b = (resolve_word(w, group, "merges") for w in pair)
         if a not in s or b not in s:
             raise SpecError(f"merge pair {pair!r} does not lie in S")
         merges.append((a, b))

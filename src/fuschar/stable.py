@@ -99,57 +99,46 @@ def refine_stable_lattice(lattice: StableLattice, fusion: FusionData) -> StableL
     return StableLattice(fusion, lattice.irr_s, basis, len(basis))
 
 
-def _decompose(chis, irr_s: CharacterTable, e: int, order: int) -> list[list[int]]:
-    """Irr(S)-multiplicities of the characters `chis` (values in Z[zeta_e],
-    multiplicities at most sqrt(order)) as inner products in F_l, l the Dixon
-    prime for (e, order), so each residue is the multiplicity.  Each vector
-    must then recombine Irr(S) to its character exactly, or the call raises."""
-    l, omega = dixon_field(e, order)
-    powers = [pow(omega, j, l) for j in range(e)]
+def multiplicities(chis, irr_s: CharacterTable, e: int, order: int) -> list[list[int]]:
+    """Irr(S)-multiplicities of the characters `chis` of S, whose values and
+    those of Irr(S) lie in Z[zeta_e], with multiplicities at most sqrt(order).
 
-    def residue(x, sign: int) -> int:  # x, or conj(x) for sign -1, in F_l
-        step = sign * (e // x.order)
-        return sum(c * powers[i * step % e] for i, c in x.terms()) % l
+    Each character is keyed by its coefficient vectors in Z[zeta_e].  One
+    equal to an irreducible of S is read off; each other distinct character
+    is decomposed once, by inner products in F_l for l the Dixon prime of
+    (e, order), which exceeds every multiplicity, so each residue is the
+    multiplicity.  Each such vector must then recombine Irr(S) to its
+    character exactly, or the call raises."""
+    known = {tuple(v.embedded(e).coeffs for v in psi.values):
+             [1 if i == j else 0 for i in range(irr_s.k)]
+             for j, psi in enumerate(irr_s.chars)}
+    keys = [tuple(v.embedded(e).coeffs for v in chi.values) for chi in chis]
+    todo = {key: chi for key, chi in zip(keys, chis) if key not in known}
+    if todo:
+        l, omega = dixon_field(e, order)
+        powers = [pow(omega, j, l) for j in range(e)]
 
-    inv_order = pow(irr_s.group.order, -1, l)
-    conj_rows = [[c.size * inv_order * residue(x, -1) % l
-                  for c, x in zip(irr_s.classes.classes, psi.values)] for psi in irr_s.chars]
-    out = []
-    for chi in chis:
-        values = [residue(x, 1) for x in chi.values]
-        coords = [sum(map(mul, values, row)) % l for row in conj_rows]
-        if irr_s.combination(coords).values != chi.values:
-            raise AssertionError("Irr(S)-multiplicities do not recombine to the character")
-        out.append(coords)
-    return out
+        def residue(x, sign: int) -> int:  # x, or conj(x) for sign -1, in F_l
+            step = sign * (e // x.order)
+            return sum(c * powers[i * step % e] for i, c in x.terms()) % l
+
+        inv_order = pow(irr_s.group.order, -1, l)
+        conj_rows = [[c.size * inv_order * residue(x, -1) % l
+                      for c, x in zip(irr_s.classes.classes, psi.values)]
+                     for psi in irr_s.chars]
+        for key, chi in todo.items():
+            values = [residue(x, 1) for x in chi.values]
+            coords = [sum(map(mul, values, row)) % l for row in conj_rows]
+            if irr_s.combination(coords).values != chi.values:
+                raise AssertionError("Irr(S)-multiplicities do not recombine to the character")
+            known[key] = coords
+    return [known[key] for key in keys]
 
 
 def irr_coordinates(chi: ClassFunction, irr_s: CharacterTable) -> list[int]:
     """Multiplicities of the character chi over Irr(S) (each at most chi(1))."""
     e = lcm(irr_s.conductor, *(x.order for x in chi.values))
-    return _decompose([chi], irr_s, e, chi.degree_int() ** 2)[0]
-
-
-def restriction_coordinates(irr_g: CharacterTable, S: FiniteGroup,
-                            irr_s: CharacterTable) -> tuple[list[ClassFunction], list[list[int]]]:
-    """The restrictions of Irr(G) to S and their Irr(S)-multiplicities.
-
-    exp(S) divides exp(G), so every value embeds in Z[zeta_conductor of G]
-    and its coefficient vector there is a key.  A restriction equal to an
-    irreducible of S (always the case for abelian groups) is read off; the
-    other distinct restrictions are decomposed together modulo the Dixon
-    prime of G, which exceeds every multiplicity (at most sqrt|G|).
-    """
-    e = irr_g.conductor
-    restricted, _ = restrict_table(irr_g, S)
-    known = {tuple(v.embedded(e).coeffs for v in psi.values):
-             [1 if i == j else 0 for i in range(irr_s.k)]
-             for j, psi in enumerate(irr_s.chars)}
-    keys = [tuple(v.embedded(e).coeffs for v in chi.values) for chi in restricted]
-    todo = {key: chi for key, chi in zip(keys, restricted) if key not in known}
-    if todo:
-        known.update(zip(todo, _decompose(todo.values(), irr_s, e, irr_g.group.order)))
-    return restricted, [known[key] for key in keys]
+    return multiplicities([chi], irr_s, e, chi.degree_int() ** 2)[0]
 
 
 class DecompositionData(NamedTuple):
@@ -165,7 +154,8 @@ def decomposition_matrix(irr_g: CharacterTable, S: FiniteGroup,
     G-classes, so it lies in the lattice of G's own fusion of S; one that
     does not means the lattice is of another fusion, and raises.
     """
-    _, coords = restriction_coordinates(irr_g, S, lattice.irr_s)
+    restricted, _ = restrict_table(irr_g, S)
+    coords = multiplicities(restricted, lattice.irr_s, irr_g.conductor, irr_g.group.order)
     solve = hnf(lattice.basis).solve
     rows = [solve(row) for row in coords]
     if None in rows:

@@ -9,7 +9,7 @@ import time
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
-from .chartable import CharacterTable, dixon_character_table
+from .chartable import CharacterTable, dixon_character_table, evaluate
 from .cyclotomic import Cyclotomic, cyclo_dot
 from .fusion import FusionData, TableFusion, centralizer_product, fusion_from_group
 from .groups import FiniteGroup, conjugacy_classes, standard_group, sylow_subgroup
@@ -72,26 +72,11 @@ class VerificationReport:
         }
 
 
-def _x_matrix(coeff_rows, value_rows, cols) -> list[list[Cyclotomic]]:
-    """X[i][j] = sum_c coeff_rows[i][c] * value_rows[c][cols[j]], evaluated
-    only at the listed columns.  Each row drops its zero coefficients once;
-    a unit row (one weight, equal to 1) is read off its value row."""
-    out = []
-    for coeffs in coeff_rows:
-        used = [c for c, w in enumerate(coeffs) if w]
-        weights = [coeffs[c] for c in used]
-        if weights == [1]:
-            out.append([value_rows[used[0]][j] for j in cols])
-        else:
-            out.append([cyclo_dot(weights, [value_rows[c][j] for c in used]) for j in cols])
-    return out
-
-
 def character_table_matrix(lattice: StableLattice, fusion: FusionData) -> list[list[Cyclotomic]]:
     """X[i][j] = value of basis row i at the j-th fully centralised rep."""
     sc = conjugacy_classes(fusion.S)
-    return _x_matrix(lattice.basis, [chi.values for chi in lattice.irr_s.chars],
-                     [sc.class_index_of(fusion.S, fc.rep) for fc in fusion.classes])
+    return evaluate(lattice.basis, [chi.values for chi in lattice.irr_s.chars],
+                    [sc.class_index_of(fusion.S, fc.rep) for fc in fusion.classes])
 
 
 def gram_matrix(x: list[list[Cyclotomic]]) -> list[list[Cyclotomic]]:
@@ -228,7 +213,7 @@ def _check_dx_identity(dec, lattice: StableLattice, irr_g: CharacterTable,
     distinct = list(dict.fromkeys(db_rows))
     s_cols = [sc.class_index_of(fusion.S, fc.rep) for fc in fusion.classes]
     psi_values = [psi.values for psi in lattice.irr_s.chars]
-    dx = dict(zip(distinct, _x_matrix(distinct, psi_values, s_cols)))
+    dx = dict(zip(distinct, evaluate(distinct, psi_values, s_cols)))
     return all(dx[row] == [chi.values[gcls] for gcls in g_cols]
                for row, chi in zip(db_rows, irr_g.chars))
 
@@ -350,8 +335,9 @@ def check_induction_certificate(cert: InductionCertificate, irr_s: CharacterTabl
     hyp["z_central"] = sc.classes[z_idx].centralizer_order == S.order
     hyp["u_centralizer_p2"] = sc.classes[u_idx].centralizer_order == p * p
 
-    eta_cf = irr_s.combination(cert.b_n[cert.eta])
-    diff = eta_cf.values[u_idx] - eta_cf.values[z_idx]
+    [[at_u, at_z]] = evaluate([cert.b_n[cert.eta]], [chi.values for chi in irr_s.chars],
+                              [u_idx, z_idx])
+    diff = at_u - at_z
     hyp["eta_difference_pm_p"] = diff == p or diff == -p
 
     solve = hnf(cert.b_n).solve

@@ -13,6 +13,7 @@ from fuschar.chartable import (
     dixon_character_table,
     induce_class_function,
     inner_product,
+    restrict_table,
 )
 from fuschar.constructions import (
     ConstructionParams,
@@ -33,7 +34,7 @@ from fuschar.exotic import OvergroupContext, RestrictionRow
 from fuschar.fusion import apply_merges, fusion_from_group, fusion_of_self
 from fuschar.groups import conjugacy_classes, enumerate_group
 from fuschar.intlinalg import HNFResult, _row_sub, det_exact, identity_matrix, mat_mul
-from fuschar.stable import restriction_coordinates
+from fuschar.stable import multiplicities
 
 
 def full_merge(base):
@@ -142,7 +143,9 @@ def overgroup_context_by_enumeration(p, which):
     assert s.is_subgroup_of(n)
     base = fusion_from_group(n, s, p)
     irr_s = dixon_character_table(s)
-    restricted, coords = restriction_coordinates(dixon_character_table(n), s, irr_s)
+    irr_n = dixon_character_table(n)
+    restricted, _ = restrict_table(irr_n, s)
+    coords = multiplicities(restricted, irr_s, irr_n.conductor, n.order)
     sc = conjugacy_classes(s)
     anchor_cols = [sc.class_index_of(s, fc.rep) for fc in base.classes]
     groups = {}

@@ -171,6 +171,18 @@ def test_table_fusion_rejects_bad_merge_groups(groups, message):
         fusion_from_spec({"mode": "table", "table": data})
 
 
+@pytest.mark.parametrize("groups, partition", [
+    ([[6, 1, 5]], [[0], [2], [3], [7], [8], [9], [4], [1, 5, 6]]),
+    ([[9, 2], [8, 3]], [[0], [1], [7], [2, 9], [3, 8], [4], [5], [6]]),
+    ([[7, 4], [0]], [[0], [1], [2], [3], [8], [9], [5], [6], [4, 7]]),
+    ([], [[0], [1], [2], [3], [7], [8], [9], [4], [5], [6]]),
+])
+def test_table_fusion_partition_sorts_blocks_by_size_then_classes(groups, partition):
+    """Table-mode reports list their representatives in this order."""
+    data = dict(table_3492().to_json(), merge_groups=groups)
+    assert TableFusion.from_json(data).merged_partition() == partition
+
+
 # the class data of C2 at p = 2, with the two classes kept apart
 C2_TABLE = {"p": 2, "group_order": 2, "labels": ["1", "a"], "class_sizes": [1, 1],
             "centralizer_orders": [2, 2], "merge_groups": [],

@@ -55,7 +55,7 @@ def test_fusion_and_clifford_rows_equal_the_scans_of_h_at_p7(which):
     s, h = ctx.S, ctx.N.H
     reps = [(translation_part(c.rep), linear_part(c.rep), c.rep_order)
             for c in conjugacy_classes(s).classes]
-    # _finalise orders the classes, so the order of the blocks is no contract
+    # fusion_from_blocks orders the classes, so the order of the blocks is no contract
     fusion = sorted(map(sorted, _fusion_by_conjugation(p, s, h, reps)))
     assert fusion == sorted(map(sorted, fusion_by_conjugation_by_scan(p, s, h, reps)))
     assert fusion == sorted(list(fc.s_class_indices) for fc in ctx.base.classes)

@@ -1,6 +1,7 @@
 """Runtime checks in the package must survive `python -O`, which strips
 `assert` statements; they raise AssertionError explicitly instead.  An AST
-scan also stands in for a linter: no unread imports or locals."""
+scan also stands in for a linter: no unread imports or locals, and no
+private name imported from another module of the package."""
 
 import ast
 import pathlib
@@ -55,3 +56,26 @@ def test_package_has_no_unread_imports_or_locals():
     for path in sorted(root.glob("*.py")):
         found |= _unread_names(path.read_text(encoding="utf-8"), path.name)
     assert not found, f"unread names: {sorted(found)}"
+
+
+def _private_imports(source: str, module: str) -> set[str]:
+    """Underscore names the module imports from another `fuschar` module."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        internal = isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "fuschar")
+        if internal:
+            found.update(f"{module}:{node.lineno} {node.module}.{alias.name}"
+                         for alias in node.names if alias.name.startswith("_"))
+    return found
+
+
+def test_package_modules_import_no_private_names_from_each_other():
+    sample = ("from __future__ import annotations\nfrom .a import b, _c\n"
+              "from fuschar.d import _e\nfrom os import _exit\n")
+    assert _private_imports(sample, "m.py") == {"m.py:2 a._c", "m.py:3 fuschar.d._e"}
+    root = pathlib.Path(fuschar.__file__).parent
+    found = set()
+    for path in sorted(root.glob("*.py")):
+        found |= _private_imports(path.read_text(encoding="utf-8"), path.name)
+    assert not found, f"private names imported across modules: {sorted(found)}"

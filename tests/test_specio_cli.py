@@ -84,6 +84,18 @@ def test_word_resolution():
         resolve_word("g7", g)
 
 
+@pytest.mark.parametrize("field, spec, bad", [
+    ("merges", {"merges": [[True, "g0^6"]]}, "True"),
+    ("merges", {"merges": [["g0^2", None]]}, "None"),
+    ("S", {"S": [2]}, "2"),
+    ("names.z", {"group": dict(C8_SPEC, names={"z": 4})}, "4"),
+])
+def test_non_string_words_name_their_field(field, spec, bad):
+    spec = dict({"group": C8_SPEC, "p": 2, "mode": "group"}, **spec)
+    with pytest.raises(SpecError, match=f"^{field} must be an element word, got {bad}$"):
+        fusion_from_spec(spec)
+
+
 def test_fusion_spec_example():
     fusion = fusion_from_spec({
         "group": C8_SPEC, "p": 2,
@@ -447,9 +459,24 @@ def _mutant(spec, rng):
     return spec, done
 
 
+def _word_field(path):
+    """The field name a word leaf is refused under, or None for no word leaf."""
+    if (path[0], len(path)) in (("merges", 3), ("S", 2)):
+        return path[0]
+    if path[:2] == ("group", "names") and len(path) == 3:
+        return f"names.{path[2]}"
+    return None
+
+
 def _integer_field_message(path, new):
     """What stderr must say when the leaf at path, an integer field, gets the
-    non-integer new; None when the leaf is no integer field or new is an integer."""
+    non-integer new, or a word leaf gets a non-string; None when the leaf is
+    neither or new is of the right type."""
+    field = _word_field(path)
+    if field is not None:
+        if new is _DROP or isinstance(new, str):
+            return None
+        return f"{field} must be an element word, got {new!r}"
     keys = [k for k in path if isinstance(k, str)]
     if not keys or keys[-1] not in INTEGER_FIELDS or new is _DROP \
             or (isinstance(new, int) and not isinstance(new, bool)):

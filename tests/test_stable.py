@@ -25,8 +25,8 @@ from fuschar.stable import (
     genuine_stable_characters,
     indecomposables_bounded,
     irr_coordinates,
+    multiplicities,
     refine_stable_lattice,
-    restriction_coordinates,
     stable_character_basis,
 )
 from fuschar.verify import builtin_corpus
@@ -242,12 +242,13 @@ def test_stable_lattice_hnf_keeps_entries_small(monkeypatch):
 
 
 def _decomposed_against_oracle(irr_g, s, irr_s):
-    """Check restriction_coordinates on each distinct restriction that is not
-    an irreducible of S (those are decomposed, the rest read off); returns
-    how many were checked."""
+    """Check multiplicities on each distinct restriction that is not an
+    irreducible of S (those are decomposed, the rest read off); returns how
+    many were checked."""
     e = irr_g.conductor
     irreducible = {tuple(v.embedded(e).coeffs for v in psi.values) for psi in irr_s.chars}
-    restricted, coords = restriction_coordinates(irr_g, s, irr_s)
+    restricted, _ = restrict_table(irr_g, s)
+    coords = multiplicities(restricted, irr_s, e, irr_g.group.order)
     checked = {}
     for chi, row in zip(restricted, coords):
         key = tuple(v.embedded(e).coeffs for v in chi.values)
@@ -286,9 +287,9 @@ def test_a_tampered_restriction_raises_instead_of_a_wrong_multiplicity():
     values[order3] = Cyclotomic.zero()  # was -1
     chars = list(irr_g.chars)
     chars[deg2] = ClassFunction(tuple(values))
-    with pytest.raises(AssertionError, match="do not recombine"):
-        restriction_coordinates(irr_g._replace(chars=tuple(chars)), s, irr_s)
     restricted, _ = restrict_table(irr_g._replace(chars=tuple(chars)), s)
+    with pytest.raises(AssertionError, match="do not recombine"):
+        multiplicities(restricted, irr_s, irr_g.conductor, g.order)
     with pytest.raises(AssertionError, match="do not recombine"):
         irr_coordinates(restricted[deg2], irr_s)
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from fuschar.chartable import ClassFunction, dixon_character_table
+from fuschar.chartable import ClassFunction, dixon_character_table, evaluate
 from fuschar.cyclotomic import Cyclotomic
 from fuschar.exotic import (
     CHAIN_BASES,
@@ -29,7 +29,6 @@ from fuschar.stable import (
 )
 from fuschar.verify import (
     _check_dx_identity,
-    _x_matrix,
     builtin_corpus,
     character_table_matrix,
     check_certificate_chain,
@@ -354,7 +353,7 @@ def test_table_and_certificate_determinants_match_the_cyclotomic_gram():
         anchor = max(grp, key=lambda j: (tf.centralizer_orders[j], -j))
         groups.append([anchor] + [j for j in grp if j != anchor])
     k = stable_sublattice(identity_matrix(10), tf.basis_values, groups, 9, len(groups))
-    oracle, _ = gram_determinant(_x_matrix(k, tf.basis_values, [g[0] for g in groups]))
+    oracle, _ = gram_determinant(evaluate(k, tf.basis_values, [g[0] for g in groups]))
     assert verify_table_fusion(tf).lhs_det == oracle == 3 ** 25
     for certf, which in ((certificate_f1, "N_gamma"), (certificate_g, "N_b"),
                          (certificate_op_f1, "N_gamma2")):
@@ -481,16 +480,16 @@ def test_dx_identity_sees_one_corrupted_value_on_a_shared_row():
 def test_dx_identity_evaluates_each_distinct_row_once(monkeypatch):
     """One cyclo_dot per distinct row of D B that is not a single irreducible,
     per fusion column: a unit row is read off Irr(S)."""
-    import fuschar.verify
+    import fuschar.chartable
 
     calls = []
-    original = fuschar.verify.cyclo_dot
+    original = fuschar.chartable.cyclo_dot
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(fuschar.verify, "cyclo_dot", counted)
+    monkeypatch.setattr(fuschar.chartable, "cyclo_dot", counted)
     # Irr(C60) onto Irr(C4): unit rows only; the degree-2 character of S3
     # restricts to psi1 + psi2 on C3, and each of D62's 15 to a pair on C31;
     # both degree-2 characters of D12 restrict to the one sum psi1 + psi2 on C3,
@@ -514,7 +513,7 @@ def test_x_matrix_reads_unit_rows_off_and_sums_the_rest():
     cols = [3, 0, 1]
     rows = [[0, 1, 0, 0], [0, 0, 0, 1], [0, -1, 0, 0], [0, 2, 0, 0], [1, 1, 0, 0],
             [1, 0, -1, 1], [0, 0, 0, 0]]
-    x = _x_matrix(rows, values, cols)
+    x = evaluate(rows, values, cols)
     for row, x_row in zip(rows, x):
         assert x_row == [sum((w * values[c][j] for c, w in enumerate(row)), Cyclotomic.zero())
                          for j in cols]
